@@ -13,6 +13,7 @@ flags override the file, and both override the preset.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import (
@@ -113,9 +114,12 @@ def _merge(mode: str, file_values: dict, args: argparse.Namespace) -> dict:
 def _to_float(merged: dict, key: str, default: float = 0.0) -> float:
     value = merged.get(key, default)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"--{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"--{key}: expected a finite number, got {value!r}")
+    return number
 
 
 def build_config(merged: dict) -> SweepConfig:

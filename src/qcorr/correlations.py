@@ -19,8 +19,11 @@ The measurement family is B_k = V |k><k| V^dag with
 and theta in [0, pi/2], phi in [0, 2*pi) covering every direction on the
 Bloch sphere; (theta, phi) -> (pi - theta, phi + pi) merely swaps the two
 outcomes, which is why theta stops at pi/2.  The minimization runs a coarse
-65 x 128 grid followed by a bounded Nelder-Mead polish; ties on the grid
-resolve to the smallest theta, then the smallest phi.
+65 x 128 grid, then refines its minimum on shrinking 17 x 17 local grids;
+theta is clipped to [0, pi/2] and phi is periodic, so the refinement wraps
+through phi = 0.  Ties on the grid resolve to the smallest theta, then the
+smallest phi.  One vectorised evaluator serves the grid, the refinement and
+``conditional_entropy``.
 
 Everything here is pure and deterministic.
 """
@@ -31,10 +34,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from .errors import NumericFailure
-from .linalg import SIGMA_Y, kron, partial_trace, validate_two_qubit_state, von_neumann_entropy
+from .linalg import SIGMA_Y, _reduced_state, kron, validate_two_qubit_state, von_neumann_entropy
 
 _Y4 = kron(SIGMA_Y, SIGMA_Y)
 _Y4.setflags(write=False)
@@ -47,7 +49,12 @@ GRID_THETA = np.linspace(0.0, np.pi / 2.0, 65)
 GRID_PHI = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 _GRID_T = np.repeat(GRID_THETA, GRID_PHI.size)
 _GRID_P = np.tile(GRID_PHI, GRID_THETA.size)
-for _a in (GRID_THETA, GRID_PHI, _GRID_T, _GRID_P):
+# refinement stencil: 17 x 17 offsets spanning +-2 current spacings, theta-major
+_STENCIL = np.linspace(-2.0, 2.0, 17)
+_STENCIL_T = np.repeat(_STENCIL, _STENCIL.size)
+_STENCIL_P = np.tile(_STENCIL, _STENCIL.size)
+_REFINE_MIN_STEP = 1e-9
+for _a in (GRID_THETA, GRID_PHI, _GRID_T, _GRID_P, _STENCIL, _STENCIL_T, _STENCIL_P):
     _a.setflags(write=False)
 
 
@@ -90,7 +97,7 @@ def _concurrence_checked(rho: np.ndarray) -> float:
             f"spin-flip operator eigenvalue {ev.min():.3e} below -1e-9"
         )
     lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
-    c = lam[0] - lam[1] - lam[2] - lam[3]
+    c = float(lam[0] - lam[1] - lam[2] - lam[3])
     return min(max(c, 0.0), 1.0)
 
 
@@ -109,7 +116,7 @@ def _concurrence_x(rho: np.ndarray) -> float:
         abs(rho[1, 2]) - math.sqrt(d[0] * d[3]),
         abs(rho[0, 3]) - math.sqrt(d[1] * d[2]),
     )
-    return min(c, 1.0)
+    return min(float(c), 1.0)
 
 
 def concurrence_x_state(rho: np.ndarray) -> float:
@@ -127,8 +134,8 @@ def concurrence_x_state(rho: np.ndarray) -> float:
 def mutual_information(rho: np.ndarray) -> float:
     """I = S(rho_A) + S(rho_B) - S(rho_AB) in bits."""
     rho = validate_two_qubit_state(rho)
-    sa = von_neumann_entropy(partial_trace(rho, "A"))
-    sb = von_neumann_entropy(partial_trace(rho, "B"))
+    sa = von_neumann_entropy(_reduced_state(rho, "A"))
+    sb = von_neumann_entropy(_reduced_state(rho, "B"))
     return sa + sb - von_neumann_entropy(rho)
 
 
@@ -202,59 +209,22 @@ def _conditional_entropy_batch(r4: np.ndarray, thetas: np.ndarray, phis: np.ndar
     return _conditional_entropy_from_trig(r4, *_basis_trig(thetas, phis))
 
 
-def _state_blocks(rho: np.ndarray):
-    """Flatten the (b, b') 2x2 blocks of the state into scalars for fast point evaluation."""
-    r4 = rho.reshape(2, 2, 2, 2)
-    return tuple(
-        (
-            complex(r4[0, b, 0, bp]),
-            complex(r4[0, b, 1, bp]),
-            complex(r4[1, b, 1, bp]),
-        )
-        for b in (0, 1)
-        for bp in (0, 1)
-    )
-
-
-def _conditional_entropy_point(blocks, theta: float, phi: float) -> float:
-    """Scalar twin of _conditional_entropy_batch used inside the refinement loop."""
-    c, s = math.cos(theta), math.sin(theta)
-    e = complex(math.cos(phi), math.sin(phi))
-    total = 0.0
-    for w0, w1 in ((c, e * s), (e.conjugate() * s, -c)):
-        k00 = (w0.conjugate() * w0).real
-        k11 = (w1.conjugate() * w1).real
-        k01 = w0.conjugate() * w1
-        k10 = k01.conjugate()
-        b00, b01, b10, b11 = blocks
-        n00 = (k00 * b00[0] + k11 * b11[0] + k01 * b01[0] + k10 * b10[0]).real
-        n11 = (k00 * b00[2] + k11 * b11[2] + k01 * b01[2] + k10 * b10[2]).real
-        n01 = k00 * b00[1] + k11 * b11[1] + k01 * b01[1] + k10 * b10[1]
-        p = n00 + n11
-        if p <= _PROB_FLOOR:
-            continue
-        disc = math.sqrt((n00 - n11) ** 2 + 4.0 * abs(n01) ** 2)
-        h = 0.0
-        for lam in ((p + disc) / (2.0 * p), (p - disc) / (2.0 * p)):
-            if lam > _PROB_FLOOR:
-                h -= lam * math.log2(lam)
-        if h > 0.0:  # entropy round-off must not go negative
-            total += p * h
-    return total
-
-
 def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
     """sum_k p_k S(rho_k) for the projective measurement of ``basis`` on qubit B."""
     rho = validate_two_qubit_state(rho)
-    return _conditional_entropy_point(_state_blocks(rho), basis.theta, basis.phi)
+    r4 = rho.reshape(2, 2, 2, 2)
+    return float(_conditional_entropy_batch(r4, np.array([basis.theta]), np.array([basis.phi]))[0])
 
 
 def minimize_conditional_entropy(rho: np.ndarray):
     """Global minimum of the measured conditional entropy over (theta, phi).
 
-    Returns (MeasurementBasis, value).  The value never exceeds any coarse
-    grid sample; the Nelder-Mead polish is seeded with a simplex spanning
-    one grid cell and runs to 1e-10 in the objective.
+    Returns (MeasurementBasis, value).  The coarse grid minimum is refined on
+    shrinking 17 x 17 local grids spanning two spacings either side of the
+    incumbent, 4x finer each round until the theta spacing is below 1e-9.
+    phi is treated as periodic, so the search wraps through phi = 0.  A
+    refined point replaces the incumbent only when strictly lower, so the
+    value never exceeds any coarse grid sample.
     """
     rho = validate_two_qubit_state(rho)
     return _minimize_checked(rho)
@@ -268,33 +238,18 @@ def _minimize_checked(rho: np.ndarray):
     idx = int(np.argmax(vals <= best_val + 1e-12))
     th0, ph0 = float(_GRID_T[idx]), float(_GRID_P[idx])
 
-    blocks = _state_blocks(rho)
-    dt = np.pi / 128.0
-    dp = 2.0 * np.pi / 128.0
-    simplex = np.array(
-        [
-            [th0, ph0],
-            [th0 - dt if th0 + dt > np.pi / 2.0 else th0 + dt, ph0],
-            [th0, ph0 + dp],
-        ]
-    )
-    res = _nm_minimize(
-        lambda x: _conditional_entropy_point(blocks, x[0], x[1]),
-        np.array([th0, ph0]),
-        method="Nelder-Mead",
-        bounds=[(0.0, np.pi / 2.0), (0.0, 2.0 * np.pi)],
-        options=dict(
-            initial_simplex=simplex,
-            xatol=1e-8,
-            fatol=1e-10,
-            maxfev=400,
-        ),
-    )
-    if res.fun < best_val:
-        best_val = float(res.fun)
-        th0, ph0 = float(res.x[0]), float(res.x[1])
+    dt, dp = float(GRID_THETA[1]), float(GRID_PHI[1])
+    while dt >= _REFINE_MIN_STEP:
+        thetas = np.clip(th0 + dt * _STENCIL_T, 0.0, np.pi / 2.0)
+        phis = ph0 + dp * _STENCIL_P  # periodic in the trig, so left unbounded
+        vals = _conditional_entropy_batch(r4, thetas, phis)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val, th0, ph0 = float(vals[j]), float(thetas[j]), float(phis[j])
+        dt /= 4.0
+        dp /= 4.0
     ph0 = ph0 % (2.0 * np.pi)
-    if ph0 >= 2.0 * np.pi:  # fold the closed upper bound back onto 0
+    if ph0 >= 2.0 * np.pi:  # a tiny negative phi folds onto 2*pi in round-off
         ph0 = 0.0
     return MeasurementBasis(theta=th0, phi=ph0), best_val
 
@@ -302,7 +257,7 @@ def _minimize_checked(rho: np.ndarray):
 def classical_correlation(rho: np.ndarray) -> float:
     """CC = S(rho_A) - min_basis sum_k p_k S(rho_k) in bits."""
     rho = validate_two_qubit_state(rho)
-    sa = von_neumann_entropy(partial_trace(rho, "A"))
+    sa = von_neumann_entropy(_reduced_state(rho, "A"))
     _, smin = _minimize_checked(rho)
     return sa - smin
 
@@ -310,7 +265,7 @@ def classical_correlation(rho: np.ndarray) -> float:
 def quantum_discord(rho: np.ndarray) -> float:
     """QD = S(rho_B) - S(rho_AB) + min_basis sum_k p_k S(rho_k) in bits."""
     rho = validate_two_qubit_state(rho)
-    sb = von_neumann_entropy(partial_trace(rho, "B"))
+    sb = von_neumann_entropy(_reduced_state(rho, "B"))
     _, smin = _minimize_checked(rho)
     return sb - von_neumann_entropy(rho) + smin
 
@@ -323,8 +278,8 @@ def correlation_report(rho: np.ndarray) -> CorrelationReport:
     floor around sqrt(machine epsilon).
     """
     rho = validate_two_qubit_state(rho)
-    sa = von_neumann_entropy(partial_trace(rho, "A"))
-    sb = von_neumann_entropy(partial_trace(rho, "B"))
+    sa = von_neumann_entropy(_reduced_state(rho, "A"))
+    sb = von_neumann_entropy(_reduced_state(rho, "B"))
     sab = von_neumann_entropy(rho)
     basis, smin = _minimize_checked(rho)
     if _off_x_spill(rho) <= X_SHAPE_TOL:

@@ -93,7 +93,11 @@ def validate_two_qubit_state(rho: np.ndarray) -> np.ndarray:
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     """Reduced 2x2 state of qubit ``keep`` ("A" = first, "B" = second)."""
-    rho = validate_two_qubit_state(rho)
+    return _reduced_state(validate_two_qubit_state(rho), keep)
+
+
+def _reduced_state(rho: np.ndarray, keep: str) -> np.ndarray:
+    """partial_trace of a state its caller has already validated."""
     r = rho.reshape(2, 2, 2, 2)
     if keep == "A":
         return np.einsum("abcb->ac", r)

@@ -110,6 +110,13 @@ def test_main_config_error_exit_code(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_non_finite_number_is_config_error(capsys):
+    assert main(["thermal", "--jx", "nan", "--t-range", "0.5:0.5:1", "--out", "x.csv"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert main(["decohere", "--preset", "fig2-upper", "--gamma", "inf", "--out", "x.csv"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_io_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = main(["thermal", "--t-range", "0.5:0.5:1", "--out", str(missing)])

@@ -184,6 +184,16 @@ def test_minimize_thermal_state_vs_dense_grid():
     assert value <= dense + 1e-5
 
 
+def test_minimize_wraps_phi_through_zero():
+    # the minimum sits just below phi = 0; a search bounded to [0, 2*pi]
+    # stalls on the grid node (theta = pi/4, phi = 0), 3.4e-4 too high
+    p = ModelParams(jx=-2.5167188125478512, jy=-0.7730850414054586,
+                    jz=-0.577463163587999, dz=0.07816153067105258)
+    rho = thermal_state(ThermalPoint(p, 1.0608))
+    _, value = minimize_conditional_entropy(rho)
+    assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
+
+
 def test_minimize_dominates_random_bases():
     rng = np.random.default_rng(139)
     for _ in range(5):
@@ -239,6 +249,8 @@ def test_report_bell():
     assert rep.mutual_information == pytest.approx(2.0, abs=1e-9)
     assert rep.classical_correlation == pytest.approx(1.0, abs=1e-9)
     assert rep.quantum_discord == pytest.approx(1.0, abs=1e-9)
+    for value in (rep.concurrence, rep.mutual_information, rep.classical_correlation, rep.quantum_discord):
+        assert type(value) is float
 
 
 def test_report_maximally_mixed_and_pure_product():
@@ -270,6 +282,7 @@ def test_report_nonnegative_on_random_states():
         assert rep.classical_correlation >= -1e-9
         assert rep.mutual_information >= -1e-9
         assert 0.0 <= rep.concurrence <= 1.0
+        assert type(rep.concurrence) is float  # general spin-flip route
 
 
 def test_report_additivity_on_model_states():
