@@ -33,6 +33,7 @@ from .sweep import (
     find_zero_runs,
     parse_range,
     run_sweep,
+    staged_output,
 )
 
 _MODE_BY_COMMAND = {"thermal": "thermal", "decohere": "decoherence"}
@@ -164,8 +165,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_config(argv)
-        rows = run_sweep(cfg)
-        emit_csv(rows, cfg.output_path, cfg.mode)
+        with staged_output(cfg.output_path) as tmp:
+            rows = run_sweep(cfg)
+            emit_csv(rows, tmp, cfg.mode)
     except ConfigError as exc:
         print(f"qcorr: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

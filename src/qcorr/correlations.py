@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .linalg import SIGMA_Y, _reduced_state, kron, validate_two_qubit_state, von_neumann_entropy
+from .linalg import SIGMA_Y, kron, validate_two_qubit_state, validated_spectrum, von_neumann_entropy
+from .linalg import _reduced_state, _spectrum_entropy
 
 _Y4 = kron(SIGMA_Y, SIGMA_Y)
 _Y4.setflags(write=False)
@@ -133,10 +134,10 @@ def concurrence_x_state(rho: np.ndarray) -> float:
 
 def mutual_information(rho: np.ndarray) -> float:
     """I = S(rho_A) + S(rho_B) - S(rho_AB) in bits."""
-    rho = validate_two_qubit_state(rho)
+    rho, lam = validated_spectrum(rho)
     sa = von_neumann_entropy(_reduced_state(rho, "A"))
     sb = von_neumann_entropy(_reduced_state(rho, "B"))
-    return sa + sb - von_neumann_entropy(rho)
+    return sa + sb - _spectrum_entropy(lam)
 
 
 def _basis_vectors(theta: float, phi: float):
@@ -264,10 +265,10 @@ def classical_correlation(rho: np.ndarray) -> float:
 
 def quantum_discord(rho: np.ndarray) -> float:
     """QD = S(rho_B) - S(rho_AB) + min_basis sum_k p_k S(rho_k) in bits."""
-    rho = validate_two_qubit_state(rho)
+    rho, lam = validated_spectrum(rho)
     sb = von_neumann_entropy(_reduced_state(rho, "B"))
     _, smin = _minimize_checked(rho)
-    return sb - von_neumann_entropy(rho) + smin
+    return sb - _spectrum_entropy(lam) + smin
 
 
 def correlation_report(rho: np.ndarray) -> CorrelationReport:
@@ -277,10 +278,10 @@ def correlation_report(rho: np.ndarray) -> CorrelationReport:
     spin-flip route square-roots near-zero eigenvalues and carries a noise
     floor around sqrt(machine epsilon).
     """
-    rho = validate_two_qubit_state(rho)
+    rho, lam = validated_spectrum(rho)
     sa = von_neumann_entropy(_reduced_state(rho, "A"))
     sb = von_neumann_entropy(_reduced_state(rho, "B"))
-    sab = von_neumann_entropy(rho)
+    sab = _spectrum_entropy(lam)
     basis, smin = _minimize_checked(rho)
     if _off_x_spill(rho) <= X_SHAPE_TOL:
         conc = _concurrence_x(rho)

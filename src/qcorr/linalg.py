@@ -1,6 +1,6 @@
 """Dense complex linear algebra for 2x2 and 4x4 Hermitian matrices.
 
-Kronecker products, Hermitian eigendecomposition, partial trace and von
+Kronecker products, density-matrix validation, partial trace and von
 Neumann entropy, plus the Pauli constants everything else is built from.
 All functions are pure and treat their array arguments as immutable, so
 values can be shared freely across workers.
@@ -9,8 +9,6 @@ Entropies are in bits (base-2 logarithms) throughout the package.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,46 +47,23 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
-    """Deterministic dense eigendecomposition of a Hermitian matrix.
-
-    Raises ValueError if the input is not Hermitian within 1e-12.  For a
-    degenerate eigenvalue the returned vectors are an orthonormal basis of
-    the eigenspace; only the spectral projectors are contractual.
-    """
-    m = _as_square(m)
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within 1e-12")
-    vals, vecs = np.linalg.eigh(m)
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
-
-
 def validate_two_qubit_state(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix."""
+    return validated_spectrum(rho)[0]
+
+
+def validated_spectrum(rho: np.ndarray):
+    """(rho, ascending eigenvalues) after the checks of validate_two_qubit_state."""
     rho = _as_square(rho, dims=(4,))
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian within 1e-12")
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-12")
-    lam_min = np.linalg.eigvalsh(rho).min()
-    if lam_min < -PSD_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {lam_min:.3e}")
-    return rho
+    lam = np.linalg.eigvalsh(rho)
+    if lam[0] < -PSD_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lam[0]:.3e}")
+    return rho, lam
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
@@ -121,6 +96,12 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(m)
     if lam[0] < -PSD_TOL:
         raise ValueError(f"invalid state: eigenvalue {lam[0]:.3e} below -1e-10")
+    return _spectrum_entropy(lam)
+
+
+def _spectrum_entropy(lam: np.ndarray) -> float:
+    """von_neumann_entropy from the checked ascending eigenvalues of a state."""
+    top = float(np.log2(lam.size))
     lam = lam[lam > 1e-12]
     s = float(-(lam * np.log2(lam)).sum())
-    return min(max(s, 0.0), float(np.log2(m.shape[0])))
+    return min(max(s, 0.0), top)

@@ -6,7 +6,7 @@ Two modes:
   four correlation measures.  Columns: dz,T,C,CC,QD,I.
 * decoherence: for every (Dz, t) grid point dephase the Bell pair and report
   the measures plus the max entrywise deviation of the closed-form state from
-  the spectral evolution.  Columns: dz,t,C,CC,QD,I,closed_form_dev.
+  the evolution in the energy eigenbasis.  Columns: dz,t,C,CC,QD,I,closed_form_dev.
 
 Ranges are given as start:stop:step and include both endpoints; when the
 step does not divide the span exactly the last point overshoots stop by less
@@ -18,7 +18,9 @@ the runners evaluate them sequentially in grid order.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +38,7 @@ from .model import (
 )
 
 THERMAL_FLOOR = 0.01
+MAX_GRID_ROWS = 10**7
 
 THERMAL_HEADER = "dz,T,C,CC,QD,I"
 DECOHERENCE_HEADER = "dz,t,C,CC,QD,I,closed_form_dev"
@@ -57,6 +60,8 @@ class AxisRange:
             object.__setattr__(self, name, v)
         if self.step <= 0.0:
             raise ConfigError(f"range step must be > 0, got {self.step}")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ConfigError(f"range {self.start}:{self.stop}:{self.step} has too many points")
         if self.count < 1:
             raise ConfigError(
                 f"empty range {self.start}:{self.stop}:{self.step} (stop < start)"
@@ -120,6 +125,10 @@ class SweepConfig:
                 raise ConfigError("--time-range: time must start at >= 0")
             if self.gamma < 0.0:
                 raise ConfigError(f"--gamma must be >= 0, got {self.gamma}")
+        axis = self.temperature_range if self.mode == "thermal" else self.time_range
+        rows = (self.dz_range.count if self.dz_range is not None else 1) * axis.count
+        if rows > MAX_GRID_ROWS:
+            raise ConfigError(f"grid of {rows} rows exceeds the limit of {MAX_GRID_ROWS}")
 
 
 @dataclass(frozen=True)
@@ -266,6 +275,33 @@ def emit_csv(rows: list[SweepRow], path: str, mode: str) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def staged_output(path: str):
+    """Reserve a temp file next to ``path`` before any work; yield its name.
+
+    The temp file is created up front, so an unwritable target fails before
+    the sweep runs.  On a clean exit the temp file replaces ``path``; on any
+    failure it is removed.  OSErrors surface as OutputError.
+    """
+    if os.path.isdir(path):
+        raise OutputError(f"cannot write {path}: it is a directory")
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        open(tmp, "w").close()
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+    try:
+        yield tmp
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc}") from exc
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def find_zero_runs(rows: list[SweepRow]) -> list[tuple[float, float]]:

@@ -2,9 +2,13 @@
 
 Everything here deliberately avoids the code paths used by the package:
 the matrix exponential is a scaling-and-squaring Taylor evaluation, the
-dense measurement search contracts explicit projector matrices, and the
-Bell-diagonal discord comes from its analytic closed form.
+spectra come from dense LAPACK eigendecompositions rather than the
+package's parity-block closed forms, the dense measurement search contracts
+explicit projector matrices, and the Bell-diagonal discord comes from its
+analytic closed form.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +35,41 @@ def expm_scaling_squaring(m):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+class Eigh(NamedTuple):
+    """Ascending eigenvalues and orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def eig_hermitian(m):
+    """Dense LAPACK eigendecomposition of a Hermitian matrix.
+
+    Raises ValueError if the input is not Hermitian within 1e-12.  For a
+    degenerate eigenvalue the returned vectors are an orthonormal basis of
+    the eigenspace; only the spectral projectors are contractual.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or np.abs(m - m.conj().T).max() > 1e-12:
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    vals, vecs = np.linalg.eigh(m)
+    return Eigh(vals, vecs)
+
+
+def reconstruct(dec):
+    """The matrix sum_k E_k |v_k><v_k| of an eigendecomposition."""
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues) @ v.conj().T
+
+
+def dense_gibbs_state(h, temperature):
+    """Gibbs state from the dense eigendecomposition, weights shifted by the ground energy."""
+    dec = eig_hermitian(h)
+    w = np.exp(-(dec.eigenvalues - dec.eigenvalues[0]) / temperature)
+    rho = (dec.eigenvectors * w) @ dec.eigenvectors.conj().T / w.sum()
+    return 0.5 * (rho + rho.conj().T)
 
 
 def thermal_oracle(h, temperature):

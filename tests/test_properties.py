@@ -1,0 +1,96 @@
+"""Property tests of the model states and their correlation measures.
+
+* Dz -> -Dz conjugates the Gibbs state and maps the dephased Bell pair to
+  (sx.sx) rho (sx.sx); Jx <-> Jy is undone by a local z rotation.  None of
+  these changes any of the four measures.
+* Scaling every coupling and T by s leaves the Gibbs state unchanged, and
+  so does scaling the couplings by s with gamma / s and t / s for the
+  dephased state.
+
+Examples are derandomized, so every run draws the same points.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcorr.correlations import correlation_report
+from qcorr.model import (
+    DecoherenceParams,
+    ModelParams,
+    ThermalPoint,
+    bell_initial_state,
+    milburn_closed_form,
+    milburn_evolve,
+    thermal_state,
+)
+
+SYMMETRY_TOL = 1e-9
+SCALE_TOL = 1e-12
+
+coupling = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+params = st.builds(ModelParams, coupling, coupling, coupling, coupling)
+temperature = st.floats(0.05, 3.0)
+gamma = st.floats(0.0, 0.5)
+time = st.floats(0.0, 10.0)
+scale = st.floats(1e-3, 1e6)
+
+common = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+_OFF_X = np.ones((4, 4), dtype=bool)
+_OFF_X[[0, 1, 2, 3, 0, 3, 1, 2], [0, 1, 2, 3, 3, 0, 2, 1]] = False
+
+
+def _measures(rho):
+    rep = correlation_report(rho)
+    return np.array([rep.concurrence, rep.classical_correlation, rep.quantum_discord,
+                     rep.mutual_information])
+
+
+def _symmetry_partners(p):
+    return replace(p, dz=-p.dz), replace(p, jx=p.jy, jy=p.jx)
+
+
+def _scaled(p, s):
+    return ModelParams(p.jx * s, p.jy * s, p.jz * s, p.dz * s)
+
+
+@common
+@given(params, temperature)
+def test_gibbs_measures_invariant_under_dz_flip_and_xy_swap(p, t):
+    base = _measures(thermal_state(ThermalPoint(p, t)))
+    assert 0.0 <= base[0] <= 1.0 and base[2] >= -1e-12
+    for q in _symmetry_partners(p):
+        assert np.abs(_measures(thermal_state(ThermalPoint(q, t))) - base).max() <= SYMMETRY_TOL
+
+
+@common
+@given(params, gamma, time)
+def test_dephased_measures_invariant_under_dz_flip_and_xy_swap(p, g, t):
+    bell = bell_initial_state()
+    base = _measures(milburn_evolve(DecoherenceParams(p, g, t), bell))
+    assert 0.0 <= base[0] <= 1.0 and base[2] >= -1e-12
+    for q in _symmetry_partners(p):
+        partner = _measures(milburn_evolve(DecoherenceParams(q, g, t), bell))
+        assert np.abs(partner - base).max() <= SYMMETRY_TOL
+
+
+@common
+@given(params, temperature, scale)
+def test_gibbs_state_is_scale_invariant(p, t, s):
+    unit = thermal_state(ThermalPoint(p, t))
+    scaled = thermal_state(ThermalPoint(_scaled(p, s), t * s))
+    assert np.abs(scaled - unit).max() <= SCALE_TOL
+
+
+@common
+@given(params, gamma, time, scale)
+def test_dephased_state_is_scale_invariant_and_x_shaped(p, g, t, s):
+    bell = bell_initial_state()
+    unit = milburn_evolve(DecoherenceParams(p, g, t), bell)
+    scaled_dp = DecoherenceParams(_scaled(p, s), g / s, t / s)
+    assert np.abs(milburn_evolve(scaled_dp, bell) - unit).max() <= SCALE_TOL
+    assert np.abs(milburn_closed_form(scaled_dp) - unit).max() <= SCALE_TOL
+    assert np.abs(unit[_OFF_X]).max() <= SCALE_TOL

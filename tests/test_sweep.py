@@ -4,6 +4,7 @@ import pytest
 from qcorr.errors import ConfigError, OutputError
 from qcorr.model import ModelParams
 from qcorr.sweep import (
+    MAX_GRID_ROWS,
     PRESETS,
     AxisRange,
     SweepConfig,
@@ -13,6 +14,7 @@ from qcorr.sweep import (
     parse_range,
     run_decoherence_sweep,
     run_thermal_sweep,
+    staged_output,
 )
 
 
@@ -239,3 +241,42 @@ def test_config_validation_messages():
         decoherence_config(gamma=-0.5)
     with pytest.raises(ConfigError):
         thermal_config(output_path="")
+
+
+def test_config_rejects_grid_above_row_cap():
+    # counted from the ranges alone; no grid array is built
+    dz = AxisRange(0.0, 9.0, 1.0)  # 10 points
+    at_cap = AxisRange(1.0, MAX_GRID_ROWS // 10, 1.0)
+    thermal_config(temperature_range=at_cap, dz_range=dz)
+    over = AxisRange(1.0, MAX_GRID_ROWS // 10 + 1, 1.0)
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        thermal_config(temperature_range=over, dz_range=dz)
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        decoherence_config(time_range=AxisRange(0.0, 1e9, 1e-3))
+
+
+def test_range_rejects_infinite_point_count():
+    with pytest.raises(ConfigError, match="too many points"):
+        AxisRange(0.0, 1e300, 1e-300)
+
+
+def test_staged_output_replaces_target_only_on_success(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with staged_output(str(target)) as tmp:
+            emit_csv([], tmp, "thermal")
+            raise RuntimeError("sweep failed")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    with staged_output(str(target)) as tmp:
+        emit_csv([], tmp, "thermal")
+    assert target.read_text() == "dz,T,C,CC,QD,I\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_staged_output_fails_before_yielding(tmp_path):
+    for bad in (tmp_path / "missing" / "x.csv", tmp_path):
+        with pytest.raises(OutputError):
+            with staged_output(str(bad)):
+                pytest.fail("the body must not run for an unwritable target")
