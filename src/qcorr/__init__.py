@@ -1,98 +1,30 @@
-"""Correlation dynamics of a two-qubit XYZ chain with z-axis DM coupling."""
+"""Correlation dynamics of a two-qubit XYZ chain with z-axis DM coupling (README API only)."""
 
-from .correlations import (
-    CorrelationReport,
-    MeasurementBasis,
-    classical_correlation,
-    concurrence,
-    concurrence_x_state,
-    conditional_entropy,
-    correlation_report,
-    measurement_projectors,
-    minimize_conditional_entropy,
-    mutual_information,
-    quantum_discord,
-)
+from .correlations import CorrelationReport, MeasurementBasis, correlation_report
 from .errors import ConfigError, NumericFailure, OutputError, QcorrError
-from .linalg import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    kron,
-    partial_trace,
-    validate_two_qubit_state,
-    von_neumann_entropy,
-)
 from .model import (
     DecoherenceParams,
     ModelParams,
-    SpectralDecomposition,
     ThermalPoint,
     bell_initial_state,
-    build_hamiltonian,
-    hamiltonian_spectrum,
-    milburn_closed_form,
     milburn_evolve,
     thermal_state,
-)
-from .sweep import (
-    PRESETS,
-    AxisRange,
-    SweepConfig,
-    SweepRow,
-    emit_csv,
-    find_zero_runs,
-    parse_range,
-    run_decoherence_sweep,
-    run_sweep,
-    run_thermal_sweep,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisRange",
     "ConfigError",
     "CorrelationReport",
     "DecoherenceParams",
-    "IDENTITY_2",
     "MeasurementBasis",
     "ModelParams",
     "NumericFailure",
     "OutputError",
-    "PRESETS",
     "QcorrError",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SpectralDecomposition",
-    "SweepConfig",
-    "SweepRow",
     "ThermalPoint",
     "bell_initial_state",
-    "build_hamiltonian",
-    "classical_correlation",
-    "concurrence",
-    "concurrence_x_state",
-    "conditional_entropy",
     "correlation_report",
-    "emit_csv",
-    "find_zero_runs",
-    "hamiltonian_spectrum",
-    "kron",
-    "measurement_projectors",
-    "milburn_closed_form",
     "milburn_evolve",
-    "minimize_conditional_entropy",
-    "mutual_information",
-    "parse_range",
-    "partial_trace",
-    "quantum_discord",
-    "run_decoherence_sweep",
-    "run_sweep",
-    "run_thermal_sweep",
     "thermal_state",
-    "validate_two_qubit_state",
-    "von_neumann_entropy",
 ]

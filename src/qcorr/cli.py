@@ -41,6 +41,7 @@ _MODE_BY_COMMAND = {"thermal": "thermal", "decohere": "decoherence"}
 _FLOAT_KEYS = ("jx", "jy", "jz", "dz", "gamma")
 _RANGE_KEYS = ("t-range", "time-range", "dz-range")
 _ALL_KEYS = ("mode", "preset", "out") + _FLOAT_KEYS + _RANGE_KEYS
+_RANGE_FLAGS = tuple(f"--{key}" for key in _RANGE_KEYS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,6 +62,17 @@ def _build_parser() -> _Parser:
             p.add_argument(f"--{key}", metavar="a:b:s")
         p.add_argument("--out", metavar="PATH")
     return parser
+
+
+def _join_negative_ranges(argv) -> list:
+    """'--dz-range -1:1:0.5' -> '--dz-range=-1:1:0.5'; argparse takes '-1:1:0.5' for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _RANGE_FLAGS and token.startswith("-") and ":" in token:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _read_config_file(path: str) -> dict:
@@ -108,7 +120,6 @@ def _merge(mode: str, file_values: dict, args: argparse.Namespace) -> dict:
         if value is not None:
             merged[key] = value
     merged["mode"] = mode
-    merged["preset"] = preset
     return merged
 
 
@@ -147,13 +158,12 @@ def build_config(merged: dict) -> SweepConfig:
         dz_range=ranges["dz-range"],
         gamma=_to_float(merged, "gamma"),
         output_path=str(merged.get("out") or ""),
-        preset=merged.get("preset"),
     )
 
 
 def parse_config(argv) -> SweepConfig:
     """Build a validated SweepConfig from CLI arguments (and --config file)."""
-    args = _build_parser().parse_args(list(argv))
+    args = _build_parser().parse_args(_join_negative_ranges(argv))
     if args.command is None:
         raise ConfigError("missing command: expected thermal or decohere")
     mode = _MODE_BY_COMMAND[args.command]

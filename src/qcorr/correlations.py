@@ -1,6 +1,7 @@
 """Correlation measures for two-qubit states.
 
-Four quantities are computed per state, all in bits except the concurrence:
+``correlation_report`` is the one route to the four measures of a state,
+all in bits except the concurrence:
 
 * concurrence C, from the square-rooted eigenvalues of the spin-flipped
   operator rho (sy.sy) rho* (sy.sy), sorted descending:
@@ -36,10 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .linalg import SIGMA_Y, kron, validate_two_qubit_state, validated_spectrum, von_neumann_entropy
+from .linalg import validate_two_qubit_state, validated_spectrum, von_neumann_entropy
 from .linalg import _reduced_state, _spectrum_entropy
 
-_Y4 = kron(SIGMA_Y, SIGMA_Y)
+# sigma_y (x) sigma_y, the spin flip of the concurrence
+_Y4 = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
 _Y4.setflags(write=False)
 
 X_SHAPE_TOL = 1e-10
@@ -132,23 +134,11 @@ def concurrence_x_state(rho: np.ndarray) -> float:
     return _concurrence_x(rho)
 
 
-def mutual_information(rho: np.ndarray) -> float:
-    """I = S(rho_A) + S(rho_B) - S(rho_AB) in bits."""
-    rho, lam = validated_spectrum(rho)
-    sa = von_neumann_entropy(_reduced_state(rho, "A"))
-    sb = von_neumann_entropy(_reduced_state(rho, "B"))
-    return sa + sb - _spectrum_entropy(lam)
-
-
-def _basis_vectors(theta: float, phi: float):
-    c, s = math.cos(theta), math.sin(theta)
-    e = complex(math.cos(phi), math.sin(phi))
-    return np.array([c, e * s], dtype=complex), np.array([e.conjugate() * s, -c], dtype=complex)
-
-
 def measurement_projectors(basis: MeasurementBasis):
     """The projector pair (B0, B1); B0 + B1 = I, each idempotent and rank 1."""
-    v0, v1 = _basis_vectors(basis.theta, basis.phi)
+    c, s = math.cos(basis.theta), math.sin(basis.theta)
+    e = complex(math.cos(basis.phi), math.sin(basis.phi))
+    v0, v1 = np.array([c, e * s], dtype=complex), np.array([e.conjugate() * s, -c], dtype=complex)
     return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
 
 
@@ -253,22 +243,6 @@ def _minimize_checked(rho: np.ndarray):
     if ph0 >= 2.0 * np.pi:  # a tiny negative phi folds onto 2*pi in round-off
         ph0 = 0.0
     return MeasurementBasis(theta=th0, phi=ph0), best_val
-
-
-def classical_correlation(rho: np.ndarray) -> float:
-    """CC = S(rho_A) - min_basis sum_k p_k S(rho_k) in bits."""
-    rho = validate_two_qubit_state(rho)
-    sa = von_neumann_entropy(_reduced_state(rho, "A"))
-    _, smin = _minimize_checked(rho)
-    return sa - smin
-
-
-def quantum_discord(rho: np.ndarray) -> float:
-    """QD = S(rho_B) - S(rho_AB) + min_basis sum_k p_k S(rho_k) in bits."""
-    rho, lam = validated_spectrum(rho)
-    sb = von_neumann_entropy(_reduced_state(rho, "B"))
-    _, smin = _minimize_checked(rho)
-    return sb - _spectrum_entropy(lam) + smin
 
 
 def correlation_report(rho: np.ndarray) -> CorrelationReport:

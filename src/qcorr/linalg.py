@@ -1,7 +1,6 @@
 """Dense complex linear algebra for 2x2 and 4x4 Hermitian matrices.
 
-Kronecker products, density-matrix validation, partial trace and von
-Neumann entropy, plus the Pauli constants everything else is built from.
+Density-matrix validation, partial trace and von Neumann entropy.
 All functions are pure and treat their array arguments as immutable, so
 values can be shared freely across workers.
 
@@ -15,13 +14,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
-    _m.setflags(write=False)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -38,13 +30,6 @@ def _as_square(m, dims=(2, 4)) -> np.ndarray:
     if m.shape[0] not in dims:
         raise ValueError(f"expected dimension in {dims}, got {m.shape[0]}")
     return m
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices in the basis |00>,|01>,|10>,|11>."""
-    a = _as_square(a, dims=(2,))
-    b = _as_square(b, dims=(2,))
-    return np.kron(a, b)
 
 
 def validate_two_qubit_state(rho: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ step does not divide the span exactly the last point overshoots stop by less
 than one step so that stop is always covered.  Rows are ordered
 lexicographically by (dz, axis) and every run of the same configuration
 produces a byte-identical file.  Sweep points are independent of each other;
-the runners evaluate them sequentially in grid order.
+``run_sweep`` evaluates them sequentially in grid order, picking the state
+builder by mode, and ``emit_csv`` writes the rows.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .model import (
     thermal_state,
 )
 
+# at this T the fig1 Gibbs states already equal their ground state to 1e-16 (README)
 THERMAL_FLOOR = 0.01
 MAX_GRID_ROWS = 10**7
 
@@ -103,7 +105,6 @@ class SweepConfig:
     dz_range: AxisRange | None
     gamma: float
     output_path: str
-    preset: str | None = None
 
     def __post_init__(self):
         if self.mode not in ("thermal", "decoherence"):
@@ -183,52 +184,27 @@ PRESETS = {
 }
 
 
-def _dz_values(cfg: SweepConfig) -> np.ndarray:
-    if cfg.dz_range is not None:
-        return cfg.dz_range.values()
-    return np.array([cfg.params.dz])
-
-
-def run_thermal_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Correlation measures of the Gibbs state over the (dz, T) grid."""
-    if cfg.mode != "thermal":
-        raise ConfigError(f"run_thermal_sweep needs mode=thermal, got {cfg.mode}")
+def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
+    """Measures of the Gibbs state over (dz, T) or of the dephased Bell pair over (dz, t)."""
+    thermal = cfg.mode == "thermal"
+    axis = cfg.temperature_range if thermal else cfg.time_range
+    dzs = cfg.dz_range.values() if cfg.dz_range is not None else np.array([cfg.params.dz])
+    rho0 = None if thermal else bell_initial_state()
     rows = []
-    for dz in _dz_values(cfg):
+    for dz in dzs:
         params = replace(cfg.params, dz=float(dz))
-        for temp in cfg.temperature_range.values():
-            rho = thermal_state(ThermalPoint(params, float(temp)))
+        for x in axis.values():
+            if thermal:
+                rho = thermal_state(ThermalPoint(params, float(x)))
+            else:
+                dp = DecoherenceParams(params, cfg.gamma, float(x))
+                rho = milburn_evolve(dp, rho0)
             rep = correlation_report(rho)
+            dev = None if thermal else float(np.abs(rho - milburn_closed_form(dp)).max())
             rows.append(
                 SweepRow(
                     dz=float(dz),
-                    axis=float(temp),
-                    concurrence=rep.concurrence,
-                    classical_correlation=rep.classical_correlation,
-                    quantum_discord=rep.quantum_discord,
-                    mutual_information=rep.mutual_information,
-                )
-            )
-    return rows
-
-
-def run_decoherence_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Correlation measures of the dephased Bell pair over the (dz, t) grid."""
-    if cfg.mode != "decoherence":
-        raise ConfigError(f"run_decoherence_sweep needs mode=decoherence, got {cfg.mode}")
-    rho0 = bell_initial_state()
-    rows = []
-    for dz in _dz_values(cfg):
-        params = replace(cfg.params, dz=float(dz))
-        for t in cfg.time_range.values():
-            dp = DecoherenceParams(params, cfg.gamma, float(t))
-            rho = milburn_evolve(dp, rho0)
-            rep = correlation_report(rho)
-            dev = float(np.abs(rho - milburn_closed_form(dp)).max())
-            rows.append(
-                SweepRow(
-                    dz=float(dz),
-                    axis=float(t),
+                    axis=float(x),
                     concurrence=rep.concurrence,
                     classical_correlation=rep.classical_correlation,
                     quantum_discord=rep.quantum_discord,
@@ -237,12 +213,6 @@ def run_decoherence_sweep(cfg: SweepConfig) -> list[SweepRow]:
                 )
             )
     return rows
-
-
-def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    if cfg.mode == "thermal":
-        return run_thermal_sweep(cfg)
-    return run_decoherence_sweep(cfg)
 
 
 def _fmt(x: float) -> str:
@@ -268,7 +238,7 @@ def emit_csv(rows: list[SweepRow], path: str, mode: str) -> None:
             _fmt(row.mutual_information),
         ]
         if mode == "decoherence":
-            fields.append(_fmt(row.closed_form_dev if row.closed_form_dev is not None else 0.0))
+            fields.append(_fmt(row.closed_form_dev))
         lines.append(",".join(fields))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -157,6 +157,32 @@ def explicit_conditional_entropy(rho, theta, phi):
     return total
 
 
+def x_state_phase(rho):
+    """phi that lines up the phases of rho14 and rho23 for an X state.
+
+    For an X state the outcome-0 block after measuring B has off-diagonal
+    cos(theta) sin(theta) (e^{i phi} rho14 + e^{-i phi} rho23); this phi makes
+    its modulus cos(theta) sin(theta) (|rho14| + |rho23|), the largest it can
+    be at that theta, and so leaves a 1-D search over theta.
+    """
+    return (np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0
+
+
+def x_state_conditional_entropy(rho, thetas):
+    """Measured conditional entropy of an X state at each theta, phi = x_state_phase(rho)."""
+    d = np.asarray(rho).diagonal().real
+    c2, s2 = np.cos(thetas) ** 2, np.sin(thetas) ** 2
+    off = (np.cos(thetas) * np.sin(thetas) * (abs(rho[0, 3]) + abs(rho[1, 2]))).astype(complex)
+    total = _plogp_terms(c2 * d[0] + s2 * d[1], c2 * d[2] + s2 * d[3], off)
+    total += _plogp_terms(s2 * d[0] + c2 * d[1], s2 * d[2] + c2 * d[3], off)
+    return total
+
+
+def x_state_min_conditional_entropy(rho, n_theta=100001):
+    """Minimum of x_state_conditional_entropy over n_theta points of [0, pi/2]."""
+    return float(x_state_conditional_entropy(rho, np.linspace(0.0, np.pi / 2.0, n_theta)).min())
+
+
 def bell_diagonal_state(c1, c2, c3):
     return 0.25 * (
         np.eye(4, dtype=complex)

@@ -24,7 +24,7 @@ from qcorr.model import (
     milburn_evolve,
     thermal_state,
 )
-from qcorr.sweep import AxisRange, SweepConfig, find_zero_runs, run_decoherence_sweep, run_thermal_sweep
+from qcorr.sweep import AxisRange, SweepConfig, find_zero_runs, run_sweep
 
 from oracles import (
     bell_diagonal_exact,
@@ -317,7 +317,7 @@ def test_criterion_6c_high_temperature_decay():
 
 def test_criterion_6_fig1_preset_runtime():
     t0 = time.perf_counter()
-    rows = run_thermal_sweep(_fig1_config())
+    rows = run_sweep(_fig1_config())
     elapsed = time.perf_counter() - t0
     count_ok = len(rows) == 6161
     # decay sanity: every trace ends strictly below its own maximum
@@ -354,7 +354,7 @@ def test_criterion_7_sudden_death_intervals():
         gamma=gamma,
         output_path="fig2-lower.csv",
     )
-    rows = run_decoherence_sweep(cfg)
+    rows = run_sweep(cfg)
     events = find_zero_runs(rows)
     ts = np.array([r.axis for r in rows])
     cs = np.array([r.concurrence for r in rows])

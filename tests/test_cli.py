@@ -91,6 +91,23 @@ def test_main_thermal_end_to_end(tmp_path, capsys):
     assert "wrote 3 rows" in capsys.readouterr().out
 
 
+def test_main_negative_range_in_spaced_form(tmp_path):
+    out = tmp_path / "negative.csv"
+    code = main(
+        ["thermal", "--jx", "0.2", "--jy", "0.4", "--jz", "0.8",
+         "--dz-range", "-1:1:0.5", "--t-range", "1:1:1", "--out", str(out)]
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 6
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    # the other range flags hand a negative start to range validation, not to argparse
+    with pytest.raises(ConfigError, match="time must start at >= 0"):
+        parse_config(["decohere", "--time-range", "-1:1:1", "--out", "x.csv"])
+    with pytest.raises(ConfigError, match="below the floor"):
+        parse_config(["thermal", "--t-range", "-.5:1:1", "--out", "x.csv"])
+
+
 def test_main_decohere_end_to_end(tmp_path, capsys):
     out = tmp_path / "deco.csv"
     code = main(

@@ -3,20 +3,25 @@ import pytest
 
 from qcorr.correlations import (
     MeasurementBasis,
-    classical_correlation,
     concurrence,
     concurrence_x_state,
     conditional_entropy,
     correlation_report,
     measurement_projectors,
     minimize_conditional_entropy,
-    mutual_information,
-    quantum_discord,
 )
 from qcorr.linalg import partial_trace, von_neumann_entropy
-from qcorr.model import ModelParams, ThermalPoint, bell_initial_state, thermal_state
+from qcorr.model import (
+    DecoherenceParams,
+    ModelParams,
+    ThermalPoint,
+    bell_initial_state,
+    milburn_evolve,
+    thermal_state,
+)
 
 from oracles import (
+    SY,
     bell_diagonal_exact,
     dense_grid_min_conditional_entropy,
     explicit_conditional_entropy,
@@ -25,11 +30,20 @@ from oracles import (
     random_unitary,
     random_x_state,
     werner_state,
+    x_state_conditional_entropy,
+    x_state_min_conditional_entropy,
+    x_state_phase,
 )
 
 
 def product_state(rho_a, rho_b):
     return np.kron(rho_a, rho_b)
+
+
+def test_spin_flip_matrix_is_sigma_y_squared():
+    from qcorr.correlations import _Y4
+
+    assert np.array_equal(_Y4, np.kron(SY, SY))
 
 
 def test_concurrence_bell():
@@ -91,11 +105,12 @@ def test_concurrence_x_state_rejects_non_x():
 
 
 def test_mutual_information_trivial_states():
-    assert mutual_information(np.eye(4, dtype=complex) / 4.0) == pytest.approx(0.0, abs=1e-12)
-    assert mutual_information(bell_initial_state()) == pytest.approx(2.0, abs=1e-12)
+    mixed = np.eye(4, dtype=complex) / 4.0
+    assert correlation_report(mixed).mutual_information == pytest.approx(0.0, abs=1e-12)
+    assert correlation_report(bell_initial_state()).mutual_information == pytest.approx(2.0, abs=1e-12)
     pure00 = np.zeros((4, 4), dtype=complex)
     pure00[0, 0] = 1.0
-    assert mutual_information(pure00) == pytest.approx(0.0, abs=1e-12)
+    assert correlation_report(pure00).mutual_information == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projectors_theta_zero():
@@ -214,24 +229,72 @@ def test_minimize_value_below_every_grid_sample():
     assert value <= grid_vals.min() + 1e-15
 
 
+def test_x_state_reduction_matches_explicit_sandwich():
+    rng = np.random.default_rng(181)
+    for _ in range(250):
+        rho = random_x_state(rng)
+        theta = rng.uniform(0.0, np.pi / 2.0)
+        reduced = x_state_conditional_entropy(rho, np.array([theta]))[0]
+        explicit = explicit_conditional_entropy(rho, theta, x_state_phase(rho))
+        assert abs(reduced - explicit) <= 1e-12
+
+
+def _interior_minimum_states():
+    # states 7045 and 15981 of this stream have their minima inside (theta* ~ 0.561
+    # and 0.282), below both theta = 0 (sigma_z) and theta = pi/4 (sigma_x)
+    stream = np.random.default_rng(4242)
+    drawn = [random_x_state(stream) for _ in range(15982)]
+    return drawn[7045], drawn[15981]
+
+
+def _x_states_for_discord():
+    yield from _interior_minimum_states()
+    rng = np.random.default_rng(191)
+    for _ in range(100):
+        yield random_x_state(rng)
+    for _ in range(100):
+        p = ModelParams(*rng.uniform(-3.0, 3.0, size=4))
+        yield thermal_state(ThermalPoint(p, float(rng.uniform(0.05, 3.0))))
+    bell = bell_initial_state()
+    for _ in range(100):
+        p = ModelParams(*rng.uniform(-3.0, 3.0, size=4))
+        dp = DecoherenceParams(p, float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 10.0)))
+        yield milburn_evolve(dp, bell)
+
+
+def test_x_state_oracle_has_interior_minima():
+    for rho, gap in zip(_interior_minimum_states(), (3e-6, 3e-5)):
+        ends = x_state_conditional_entropy(rho, np.array([0.0, np.pi / 4.0]))
+        assert x_state_min_conditional_entropy(rho) < ends.min() - gap
+
+
+def test_minimize_matches_x_state_oracle():
+    for rho in _x_states_for_discord():
+        _, value = minimize_conditional_entropy(rho)
+        oracle = x_state_min_conditional_entropy(rho)
+        assert oracle - 1e-9 <= value <= oracle + 1e-12
+
+
 def test_classical_correlation_trivial_states():
-    assert classical_correlation(bell_initial_state()) == pytest.approx(1.0, abs=1e-9)
-    assert classical_correlation(np.eye(4, dtype=complex) / 4.0) == pytest.approx(0.0, abs=1e-9)
+    mixed = np.eye(4, dtype=complex) / 4.0
+    assert correlation_report(bell_initial_state()).classical_correlation == pytest.approx(1.0, abs=1e-9)
+    assert correlation_report(mixed).classical_correlation == pytest.approx(0.0, abs=1e-9)
     rng = np.random.default_rng(151)
     rho = product_state(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-    assert classical_correlation(rho) == pytest.approx(0.0, abs=1e-9)
+    assert correlation_report(rho).classical_correlation == pytest.approx(0.0, abs=1e-9)
 
 
 def test_quantum_discord_trivial_states():
-    assert quantum_discord(bell_initial_state()) == pytest.approx(1.0, abs=1e-9)
+    assert correlation_report(bell_initial_state()).quantum_discord == pytest.approx(1.0, abs=1e-9)
     rng = np.random.default_rng(157)
     rho = product_state(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-    assert quantum_discord(rho) == pytest.approx(0.0, abs=1e-9)
+    assert correlation_report(rho).quantum_discord == pytest.approx(0.0, abs=1e-9)
 
 
 def test_quantum_discord_werner_vs_closed_form():
     exact = bell_diagonal_exact(0.5, 0.5, -0.5)  # Werner p=0.5 correlation vector
-    assert quantum_discord(werner_state(0.5)) == pytest.approx(exact["QD"], abs=1e-6)
+    rep = correlation_report(werner_state(0.5))
+    assert rep.quantum_discord == pytest.approx(exact["QD"], abs=1e-6)
 
 
 def test_quantum_discord_bell_diagonal_closed_form():

@@ -1,45 +1,9 @@
 import numpy as np
 import pytest
 
-from qcorr.linalg import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    kron,
-    partial_trace,
-    validate_two_qubit_state,
-    von_neumann_entropy,
-)
+from qcorr.linalg import partial_trace, validate_two_qubit_state, von_neumann_entropy
 
-from oracles import eig_hermitian, random_density_matrix, random_hermitian, random_pure_state, reconstruct
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-
-def test_kron_diagonal_paulis():
-    assert np.array_equal(kron(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_kron_antidiagonal():
-    expected = np.fliplr(np.eye(4))
-    assert np.array_equal(kron(SIGMA_X, SIGMA_X), expected)
-
-
-def test_kron_rejects_wrong_dimension():
-    with pytest.raises(ValueError):
-        kron(np.eye(4), np.eye(2))
-
-
-def test_kron_multiplicativity():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a, b, c, d = (random_hermitian(rng, 2) for _ in range(4))
-        left = kron(a, b) @ kron(c, d)
-        right = kron(a @ c, b @ d)
-        assert np.abs(left - right).max() <= 1e-12
+from oracles import SX, eig_hermitian, random_density_matrix, random_hermitian, random_pure_state, reconstruct
 
 
 def test_eig_diagonal_matrix():
@@ -48,7 +12,7 @@ def test_eig_diagonal_matrix():
 
 
 def test_eig_sigma_x():
-    dec = eig_hermitian(SIGMA_X)
+    dec = eig_hermitian(SX)
     assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)

@@ -6,6 +6,9 @@
 * Scaling every coupling and T by s leaves the Gibbs state unchanged, and
   so does scaling the couplings by s with gamma / s and t / s for the
   dephased state.
+* Entropy bounds on Gibbs, dephased and random states: CC <= min(S_A, S_B)
+  (Henderson and Vedral, J. Phys. A 34, 6899 (2001)) and QD <= S_B, with B
+  the measured qubit.
 
 Examples are derandomized, so every run draws the same points.
 """
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr.correlations import correlation_report
+from qcorr.linalg import partial_trace, von_neumann_entropy
 from qcorr.model import (
     DecoherenceParams,
     ModelParams,
@@ -27,8 +31,11 @@ from qcorr.model import (
     thermal_state,
 )
 
+from oracles import random_density_matrix
+
 SYMMETRY_TOL = 1e-9
 SCALE_TOL = 1e-12
+BOUND_TOL = 1e-9
 
 coupling = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 params = st.builds(ModelParams, coupling, coupling, coupling, coupling)
@@ -36,8 +43,15 @@ temperature = st.floats(0.05, 3.0)
 gamma = st.floats(0.0, 0.5)
 time = st.floats(0.0, 10.0)
 scale = st.floats(1e-3, 1e6)
+states = st.one_of(
+    st.builds(lambda p, t: thermal_state(ThermalPoint(p, t)), params, temperature),
+    st.builds(lambda p, g, t: milburn_evolve(DecoherenceParams(p, g, t), bell_initial_state()),
+              params, gamma, time),
+    st.builds(lambda seed: random_density_matrix(np.random.default_rng(seed)), st.integers(0, 2**32 - 1)),
+)
 
 common = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+bounds = settings(common, max_examples=120)
 
 _OFF_X = np.ones((4, 4), dtype=bool)
 _OFF_X[[0, 1, 2, 3, 0, 3, 1, 2], [0, 1, 2, 3, 3, 0, 2, 1]] = False
@@ -94,3 +108,19 @@ def test_dephased_state_is_scale_invariant_and_x_shaped(p, g, t, s):
     assert np.abs(milburn_evolve(scaled_dp, bell) - unit).max() <= SCALE_TOL
     assert np.abs(milburn_closed_form(scaled_dp) - unit).max() <= SCALE_TOL
     assert np.abs(unit[_OFF_X]).max() <= SCALE_TOL
+
+
+def _local_entropies(rho):
+    return (von_neumann_entropy(partial_trace(rho, "A")), von_neumann_entropy(partial_trace(rho, "B")))
+
+
+@bounds
+@given(states)
+def test_classical_correlation_below_both_local_entropies(rho):
+    assert correlation_report(rho).classical_correlation <= min(_local_entropies(rho)) + BOUND_TOL
+
+
+@bounds
+@given(states)
+def test_discord_below_measured_qubit_entropy(rho):
+    assert correlation_report(rho).quantum_discord <= _local_entropies(rho)[1] + BOUND_TOL

@@ -12,8 +12,7 @@ from qcorr.sweep import (
     emit_csv,
     find_zero_runs,
     parse_range,
-    run_decoherence_sweep,
-    run_thermal_sweep,
+    run_sweep,
     staged_output,
 )
 
@@ -77,6 +76,12 @@ def test_fig1_preset_row_count():
     assert t.count * dz.count == 6161
 
 
+def test_config_rejects_unknown_mode():
+    # run_sweep treats every mode but "thermal" as decoherence, so the config must gate it
+    with pytest.raises(ConfigError, match="mode must be thermal or decoherence"):
+        thermal_config(mode="thermal-ish")
+
+
 def test_thermal_config_enforces_floor():
     with pytest.raises(ConfigError):
         thermal_config(temperature_range=AxisRange(0.001, 1.0, 0.1))
@@ -87,7 +92,7 @@ def test_thermal_sweep_ordering_and_invariants():
         temperature_range=AxisRange(0.2, 0.6, 0.2),
         dz_range=AxisRange(0.0, 1.0, 0.5),
     )
-    rows = run_thermal_sweep(cfg)
+    rows = run_sweep(cfg)
     assert len(rows) == 9
     keys = [(r.dz, r.axis) for r in rows]
     assert keys == sorted(keys)
@@ -101,14 +106,14 @@ def test_thermal_sweep_ordering_and_invariants():
 
 def test_thermal_sweep_deterministic():
     cfg = thermal_config(temperature_range=AxisRange(0.3, 0.7, 0.2))
-    a = run_thermal_sweep(cfg)
-    b = run_thermal_sweep(cfg)
+    a = run_sweep(cfg)
+    b = run_sweep(cfg)
     assert a == b
 
 
 def test_thermal_sweep_infinite_temperature_point():
     cfg = thermal_config(temperature_range=AxisRange(1e6, 1e6, 1.0))
-    (row,) = run_thermal_sweep(cfg)
+    (row,) = run_sweep(cfg)
     for value in (row.concurrence, row.classical_correlation, row.quantum_discord, row.mutual_information):
         assert abs(value) <= 1e-6
 
@@ -118,18 +123,13 @@ def test_thermal_sweep_concurrence_grows_with_dz():
         temperature_range=AxisRange(0.5, 0.5, 1.0),
         dz_range=AxisRange(0.0, 2.0, 1.0),  # dz in {0, 1, 2}
     )
-    rows = run_thermal_sweep(cfg)
+    rows = run_sweep(cfg)
     cs = [r.concurrence for r in rows]
     assert cs[0] < cs[1] < cs[2]
 
 
-def test_thermal_sweep_rejects_wrong_mode():
-    with pytest.raises(ConfigError):
-        run_thermal_sweep(decoherence_config())
-
-
 def test_decoherence_sweep_t_zero_row():
-    rows = run_decoherence_sweep(decoherence_config(time_range=AxisRange(0.0, 0.0, 1.0)))
+    rows = run_sweep(decoherence_config(time_range=AxisRange(0.0, 0.0, 1.0)))
     (row,) = rows
     assert row.concurrence == pytest.approx(1.0, abs=1e-9)
     assert row.classical_correlation == pytest.approx(1.0, abs=1e-9)
@@ -139,7 +139,7 @@ def test_decoherence_sweep_t_zero_row():
 
 
 def test_decoherence_sweep_closed_form_column():
-    rows = run_decoherence_sweep(decoherence_config(time_range=AxisRange(0.0, 1.0, 0.25)))
+    rows = run_sweep(decoherence_config(time_range=AxisRange(0.0, 1.0, 0.25)))
     assert len(rows) == 5
     for r in rows:
         assert r.closed_form_dev <= 1e-12
@@ -153,7 +153,7 @@ def test_decoherence_trace_dips_and_revives():
     p = ModelParams(0.03, 0.06, 0.0, 6.0)
     mu = p.mu
     cfg = decoherence_config(params=p, time_range=AxisRange(0.0, 0.6, 0.002))
-    rows = run_decoherence_sweep(cfg)
+    rows = run_sweep(cfg)
     cs = np.array([r.concurrence for r in rows])
     floor = (p.jx + p.jy) / mu
     assert floor - 1e-12 <= cs.min() <= floor + 0.01
@@ -200,10 +200,10 @@ def test_emit_csv_significant_digits(tmp_path):
 
 def test_emit_csv_byte_identical(tmp_path):
     cfg = thermal_config(temperature_range=AxisRange(0.4, 0.8, 0.2))
-    rows = run_thermal_sweep(cfg)
+    rows = run_sweep(cfg)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(rows, str(p1), "thermal")
-    emit_csv(run_thermal_sweep(cfg), str(p2), "thermal")
+    emit_csv(run_sweep(cfg), str(p2), "thermal")
     assert p1.read_bytes() == p2.read_bytes()
 
 
