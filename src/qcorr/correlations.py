@@ -18,13 +18,13 @@ The measurement family is B_k = V |k><k| V^dag with
         ( exp(i phi) sin(theta)  -cos(theta)             )
 
 and theta in [0, pi/2], phi in [0, 2*pi) covering every direction on the
-Bloch sphere; (theta, phi) -> (pi - theta, phi + pi) merely swaps the two
-outcomes, which is why theta stops at pi/2.  The minimization runs a coarse
-65 x 128 grid, then refines its minimum on shrinking 17 x 17 local grids;
-theta is clipped to [0, pi/2] and phi is periodic, so the refinement wraps
-through phi = 0.  Ties on the grid resolve to the smallest theta, then the
-smallest phi.  One vectorised evaluator serves the grid, the refinement and
-``conditional_entropy``.
+Bloch sphere.  (pi/2 - theta, phi + pi) is the same measurement with its
+outcomes swapped, so the coarse 33 x 128 grid covers theta in [0, pi/4]
+only; its minimum is refined on shrinking 17 x 17 local grids with theta
+in [0, pi/2] (so it may cross pi/4) and phi periodic (so it wraps through
+phi = 0).  Grid ties resolve to the smallest theta, then phi.  One
+evaluator, broadcasting a theta column against a phi row, serves the grid,
+the refinement and ``conditional_entropy``.
 
 Everything here is pure and deterministic.
 """
@@ -47,17 +47,13 @@ _Y4.setflags(write=False)
 X_SHAPE_TOL = 1e-10
 _PROB_FLOOR = 1e-12
 
-# coarse search grid; theta-major ordering fixes the tie-break
-GRID_THETA = np.linspace(0.0, np.pi / 2.0, 65)
+# coarse search grid over half the theta range, spacing pi/128 in both angles
+GRID_THETA = np.linspace(0.0, np.pi / 4.0, 33)
 GRID_PHI = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-_GRID_T = np.repeat(GRID_THETA, GRID_PHI.size)
-_GRID_P = np.tile(GRID_PHI, GRID_THETA.size)
-# refinement stencil: 17 x 17 offsets spanning +-2 current spacings, theta-major
+# refinement stencil: 17 offsets spanning +-2 current spacings, per angle
 _STENCIL = np.linspace(-2.0, 2.0, 17)
-_STENCIL_T = np.repeat(_STENCIL, _STENCIL.size)
-_STENCIL_P = np.tile(_STENCIL, _STENCIL.size)
 _REFINE_MIN_STEP = 1e-9
-for _a in (GRID_THETA, GRID_PHI, _GRID_T, _GRID_P, _STENCIL, _STENCIL_T, _STENCIL_P):
+for _a in (GRID_THETA, GRID_PHI, _STENCIL):
     _a.setflags(write=False)
 
 
@@ -134,14 +130,6 @@ def concurrence_x_state(rho: np.ndarray) -> float:
     return _concurrence_x(rho)
 
 
-def measurement_projectors(basis: MeasurementBasis):
-    """The projector pair (B0, B1); B0 + B1 = I, each idempotent and rank 1."""
-    c, s = math.cos(basis.theta), math.sin(basis.theta)
-    e = complex(math.cos(basis.phi), math.sin(basis.phi))
-    v0, v1 = np.array([c, e * s], dtype=complex), np.array([e.conjugate() * s, -c], dtype=complex)
-    return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
-
-
 def _entropy_terms(n00, n11, n01) -> np.ndarray:
     """p_k * S(rho_k) for conditioned 2x2 blocks given as entry arrays.
 
@@ -163,17 +151,19 @@ def _entropy_terms(n00, n11, n01) -> np.ndarray:
 
 
 def _basis_trig(thetas, phis):
-    ct, st = np.cos(thetas), np.sin(thetas)
+    """cos^2, sin^2 and cos sin e^{i phi}, a theta column broadcast against a phi row."""
+    ct, st = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
     return ct * ct, st * st, ct * st * np.exp(1j * phis)
 
 
 # trigonometry of the fixed coarse grid, shared by every minimization
-_GRID_C2, _GRID_S2, _GRID_Z = _basis_trig(_GRID_T, _GRID_P)
+_GRID_TRIG = _basis_trig(GRID_THETA, GRID_PHI)
 
 
 def _conditional_entropy_from_trig(r4, c2, s2, z) -> np.ndarray:
     """Conditional entropy given precomputed cos^2, sin^2 and cos sin e^{i phi}.
 
+    r4 is the density matrix reshaped to (2, 2, 2, 2) with axes (a, b, a', b').
     The conditioned block for outcome 0 is a linear combination of the four
     fixed (b, b') blocks of r4 with those coefficients; outcome 1 follows
     from completeness as rho_A minus the outcome-0 block.
@@ -192,19 +182,11 @@ def _conditional_entropy_from_trig(r4, c2, s2, z) -> np.ndarray:
     return total
 
 
-def _conditional_entropy_batch(r4: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Measured conditional entropy for arrays of bases against one state.
-
-    r4 is the density matrix reshaped to (2, 2, 2, 2) with axes (a, b, a', b').
-    """
-    return _conditional_entropy_from_trig(r4, *_basis_trig(thetas, phis))
-
-
 def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
     """sum_k p_k S(rho_k) for the projective measurement of ``basis`` on qubit B."""
     rho = validate_two_qubit_state(rho)
-    r4 = rho.reshape(2, 2, 2, 2)
-    return float(_conditional_entropy_batch(r4, np.array([basis.theta]), np.array([basis.phi]))[0])
+    trig = _basis_trig(np.array([basis.theta]), np.array([basis.phi]))
+    return float(_conditional_entropy_from_trig(rho.reshape(2, 2, 2, 2), *trig)[0, 0])
 
 
 def minimize_conditional_entropy(rho: np.ndarray):
@@ -223,20 +205,20 @@ def minimize_conditional_entropy(rho: np.ndarray):
 
 def _minimize_checked(rho: np.ndarray):
     r4 = rho.reshape(2, 2, 2, 2)
-    vals = _conditional_entropy_from_trig(r4, _GRID_C2, _GRID_S2, _GRID_Z)
+    vals = _conditional_entropy_from_trig(r4, *_GRID_TRIG).ravel()
     best_val = float(vals.min())
     # ties within round-off resolve to the smallest theta, then smallest phi
-    idx = int(np.argmax(vals <= best_val + 1e-12))
-    th0, ph0 = float(_GRID_T[idx]), float(_GRID_P[idx])
+    i, j = divmod(int(np.argmax(vals <= best_val + 1e-12)), GRID_PHI.size)
+    th0, ph0 = float(GRID_THETA[i]), float(GRID_PHI[j])
 
     dt, dp = float(GRID_THETA[1]), float(GRID_PHI[1])
     while dt >= _REFINE_MIN_STEP:
-        thetas = np.clip(th0 + dt * _STENCIL_T, 0.0, np.pi / 2.0)
-        phis = ph0 + dp * _STENCIL_P  # periodic in the trig, so left unbounded
-        vals = _conditional_entropy_batch(r4, thetas, phis)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val, th0, ph0 = float(vals[j]), float(thetas[j]), float(phis[j])
+        thetas = np.clip(th0 + dt * _STENCIL, 0.0, np.pi / 2.0)
+        phis = ph0 + dp * _STENCIL  # periodic in the trig, so left unbounded
+        vals = _conditional_entropy_from_trig(r4, *_basis_trig(thetas, phis))
+        i, j = divmod(int(np.argmin(vals)), _STENCIL.size)
+        if vals[i, j] < best_val:
+            best_val, th0, ph0 = float(vals[i, j]), float(thetas[i]), float(phis[j])
         dt /= 4.0
         dp /= 4.0
     ph0 = ph0 % (2.0 * np.pi)

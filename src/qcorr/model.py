@@ -9,12 +9,12 @@ block on span{|00>,|11>} with eigenvalues (Jz +- (Jx-Jy))/2 and an inner
 block on span{|01>,|10>} with off-diagonal beta/2, beta = Jx+Jy+2i*Dz, and
 eigenvalues (-Jz +- mu)/2 where mu = |beta| = sqrt((Jx+Jy)^2 + 4 Dz^2).
 
-This module builds the Hamiltonian, its spectrum from the two blocks, the
-Gibbs state exp(-H/T)/Z from the block closed forms, and the pure-dephasing
-evolution that damps every coherence between energy eigenstates |m>,|n> by
+This module builds the spectrum from the two blocks, the Gibbs state
+exp(-H/T)/Z from the block closed forms, and the pure-dephasing evolution
+that damps every coherence between energy eigenstates |m>,|n> by
 exp(-(gamma t / 2)(Em - En)^2) while rotating it by exp(-i (Em - En) t).
-Every state is built by one route; the dense eigendecomposition of
-``build_hamiltonian`` serves only as a test oracle.
+Every state is built by one route; the dense Hamiltonian matrix and its
+eigendecomposition serve only as test oracles.
 
 All functions are pure; inputs and outputs are treated as immutable.
 """
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericFailure
 from .linalg import validate_two_qubit_state
 
 
@@ -97,17 +98,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    """Assemble the 4x4 Hamiltonian matrix in the standard basis."""
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = h[3, 3] = p.jz / 2.0
-    h[1, 1] = h[2, 2] = -p.jz / 2.0
-    h[0, 3] = h[3, 0] = (p.jx - p.jy) / 2.0
-    h[1, 2] = p.beta / 2.0
-    h[2, 1] = p.beta.conjugate() / 2.0
-    return h
 
 
 def hamiltonian_spectrum(p: ModelParams) -> SpectralDecomposition:
@@ -185,7 +175,12 @@ def milburn_evolve(dp: DecoherenceParams, rho0: np.ndarray) -> np.ndarray:
     v = dec.eigenvectors
     coeff = v.conj().T @ rho0 @ v
     gaps = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
-    kernel = np.exp(-(0.5 * dp.gamma * dp.time) * gaps**2 - 1j * gaps * dp.time)
+    with np.errstate(over="ignore"):  # an overflowing damping leaves a zero coherence
+        damping = 0.0 if dp.gamma == 0.0 or dp.time == 0.0 else (0.5 * dp.gamma * dp.time) * gaps**2
+        phases = gaps * dp.time
+    if not np.isfinite(phases).all():
+        raise NumericFailure(f"energy gap times t overflows at t = {dp.time:g}")
+    kernel = np.exp(-damping - 1j * phases)
     out = v @ (coeff * kernel) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
@@ -209,7 +204,8 @@ def milburn_closed_form(dp: DecoherenceParams) -> np.ndarray:
     if mu == 0.0:
         # beta = 0: the Bell pair is an eigenstate and nothing moves
         return bell_initial_state()
-    env = math.exp(-0.5 * dp.gamma * mu * mu * dp.time)
+    # no damping at gamma t = 0, where 0 * mu * mu could be 0 * inf
+    env = 1.0 if dp.gamma == 0.0 or dp.time == 0.0 else math.exp(-0.5 * dp.gamma * mu * mu * dp.time)
     wobble = p.dz * env * math.sin(mu * dp.time) / mu
     rho[1, 1] = 0.5 + wobble
     rho[2, 2] = 0.5 - wobble

@@ -269,6 +269,22 @@ def dephased_bell_concurrence(params, gamma, t):
     return np.sqrt(f * f + (1.0 - f * f) * np.exp(-gamma * mu * mu * t) * np.cos(mu * t) ** 2)
 
 
+def dephased_bell_steady_state(params):
+    """Limits of C, CC, QD and I for the dephased Bell pair as gamma mu^2 t -> infinity.
+
+    Dephasing removes the pair's one coherence between the odd-parity levels
+    and keeps their weights (1 +- f)/2, f = |Jx+Jy|/mu (see
+    ``dephased_bell_concurrence``).  What is left has rho22 = rho33 = 1/2 and
+    |rho23| = f/2, so C = f; both marginals are maximally mixed, measuring sz
+    on B leaves A in a pure state, so CC = 1; S(rho_AB) = h2((1+f)/2), so
+    I = 2 - h2((1+f)/2) and QD = I - CC.  Jz and gamma drop out.
+    """
+    mu = np.hypot(params.jx + params.jy, 2.0 * params.dz)
+    f = abs(params.jx + params.jy) / mu
+    h2 = -sum(w * np.log2(w) for w in ((1.0 + f) / 2.0, (1.0 - f) / 2.0) if w > 0.0)
+    return {"C": f, "CC": 1.0, "QD": 1.0 - h2, "I": 2.0 - h2}
+
+
 def random_bell_diagonal(rng):
     while True:
         c = rng.uniform(-1.0, 1.0, size=3)

@@ -18,7 +18,6 @@ from qcorr.model import (
     ModelParams,
     ThermalPoint,
     bell_initial_state,
-    build_hamiltonian,
     hamiltonian_spectrum,
     milburn_closed_form,
     milburn_evolve,
@@ -30,12 +29,14 @@ from oracles import (
     bell_diagonal_exact,
     dense_grid_min_conditional_entropy,
     dephased_bell_concurrence,
+    dephased_bell_steady_state,
     gibbs_bell_diagonal_exact,
     milburn_bell_quadratic_mu,
     milburn_bell_wide_grouping,
     random_bell_diagonal,
     random_density_matrix,
     random_x_state,
+    readme_hamiltonian,
     thermal_oracle,
     unitary_evolution_oracle,
     werner_state,
@@ -63,7 +64,7 @@ def test_criterion_1_thermal_state_oracle():
             for jz in grid:
                 for dz in grid:
                     p = ModelParams(jx, jy, jz, dz)
-                    h = build_hamiltonian(p)
+                    h = readme_hamiltonian(p)
                     for temp in (0.1, 0.5, 1.0):
                         dev = np.abs(
                             thermal_state(ThermalPoint(p, temp)) - thermal_oracle(h, temp)
@@ -86,7 +87,7 @@ def test_criterion_2_milburn_oracle():
         rho0 = random_density_matrix(rng)
         dev = np.abs(
             milburn_evolve(DecoherenceParams(p, 0.0, t), rho0)
-            - unitary_evolution_oracle(build_hamiltonian(p), rho0, t)
+            - unitary_evolution_oracle(readme_hamiltonian(p), rho0, t)
         ).max()
         worst = max(worst, dev)
 
@@ -207,17 +208,26 @@ def _fig1_config():
 
 
 def test_criterion_6a_concurrence_monotone_in_dz():
+    # The thermal half of the abstract at the fig1 couplings: no measure
+    # falls as Dz grows (README, "Where Dz helps and where it hurts").
     dzs = np.arange(0.0, 3.0 + 1e-9, 0.05)
+    names = ("C", "CC", "QD", "I")
     ok = True
     detail = []
     for temp in (0.3, 0.5, 1.0):
-        cs = []
+        rows = []
         for dz in dzs:
-            rho = thermal_state(ThermalPoint(replace(FIG1, dz=float(dz)), temp))
-            cs.append(concurrence_x_state(rho))
-        mono = all(b >= a - 1e-12 for a, b in zip(cs, cs[1:]))
-        ok = ok and mono
-        detail.append(f"T={temp}: C {cs[0]:.4f} -> {cs[-1]:.4f}, non-decreasing: {mono}")
+            rep = correlation_report(thermal_state(ThermalPoint(replace(FIG1, dz=float(dz)), temp)))
+            rows.append((rep.concurrence, rep.classical_correlation, rep.quantum_discord,
+                         rep.mutual_information))
+        cols = dict(zip(names, np.array(rows).T))
+        mono = {k: bool((np.diff(v) >= -1e-12).all()) for k, v in cols.items()}
+        ok = ok and all(mono.values())
+        detail.append(
+            f"T={temp}: "
+            + ", ".join(f"{k} {v[0]:.4f} -> {v[-1]:.4f}" for k, v in cols.items())
+            + f", non-decreasing: {all(mono.values())}"
+        )
     _verdict("criterion 6a", ok, "; ".join(detail))
 
 
@@ -397,13 +407,37 @@ def test_criterion_8_steady_state_concurrence():
         results[dz] = (concurrence_x_state(rho), (p.jx + p.jy) / p.mu)
     ok = all(abs(c - target) <= 1e-3 for c, target in results.values())
     ordered = results[0.3][0] < results[0.1][0]
-    _verdict(
-        "criterion 8",
-        ok and ordered,
+    detail = [
         f"dz=0.1: C = {results[0.1][0]:.5f} (target {results[0.1][1]:.5f}); "
         f"dz=0.3: C = {results[0.3][0]:.5f} (target {results[0.3][1]:.5f}); "
-        f"dz=0.3 below dz=0.1: {ordered}",
-    )
+        f"dz=0.3 below dz=0.1: {ordered}"
+    ]
+
+    # The decoherence half of the abstract: Dz lowers the steady-state C and
+    # QD, but CC ends at 1 whatever Dz is.
+    names = ("C", "CC", "QD", "I")
+    worst = 0.0
+    shape_ok = True
+    for label, base, gamma in (("lower", FIG2_SETS[0][1], 0.01), ("upper", FIG2_SETS[1][1], 0.1)):
+        limits = []
+        for dz in (0.1, 0.5, 1.0, 2.0, 6.0):
+            p = replace(base, dz=dz)
+            t = 2.0 * 30.0 / (gamma * p.mu**2)  # gamma mu^2 t / 2 = 30
+            rep = correlation_report(milburn_evolve(DecoherenceParams(p, gamma, t), bell_initial_state()))
+            row = (rep.concurrence, rep.classical_correlation, rep.quantum_discord, rep.mutual_information)
+            exact = dephased_bell_steady_state(p)
+            worst = max(worst, max(abs(v - exact[k]) for k, v in zip(names, row)))
+            limits.append(row)
+        c, cc, qd, _ = np.array(limits).T
+        falls = bool((np.diff(c) < 0.0).all() and (np.diff(qd) < 0.0).all())
+        shape_ok = shape_ok and falls
+        detail.append(
+            f"{label} couplings, dz 0.1 -> 6: C {c[0]:.6f} -> {c[-1]:.6f}, "
+            f"QD {qd[0]:.6f} -> {qd[-1]:.6f} (strictly falling: {falls}), "
+            f"CC {cc.min():.12f}..{cc.max():.12f}"
+        )
+    detail.append(f"max |dev| from the steady-state oracle {worst:.3e} (<= 1e-9)")
+    _verdict("criterion 8", ok and ordered and shape_ok and worst <= 1e-9, "; ".join(detail))
 
 
 def test_criterion_9_low_temperature_report():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -198,3 +203,26 @@ def test_main_rescaled_point_prints_the_unit_scale_row(tmp_path):
     unit_row = unit.read_text().splitlines()[1].split(",")
     assert big_row[:2] == ["1000000", "1000000"]
     assert big_row[2:] == unit_row[2:]
+
+
+def _run_cli(args, cwd):
+    # a child process, so any numpy RuntimeWarning reaches its real stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(qcorr.cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-W", "default", "-m", "qcorr.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_main_decohere_at_huge_couplings(tmp_path):
+    # energy gaps near 3e200 overflow gap**2; at t = 0 nothing has decayed and
+    # at t = 1 every coherence between levels has, which leaves the steady state
+    huge = ["decohere", "--jx", "1e200", "--jy", "1e200", "--dz", "1e200", "--gamma", "0.1"]
+    done = _run_cli(huge + ["--time-range", "0:1:1", "--out", "huge.csv"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    rows = [line.split(",")[:6] for line in (tmp_path / "huge.csv").read_text().splitlines()[1:]]
+    assert rows[0] == ["1e+200", "0", "1", "1", "1", "2"]
+    assert rows[1] == ["1e+200", "1", "0.707106781187", "1", "0.399123963307", "1.39912396331"]
+
+    overflow = _run_cli(huge + ["--time-range", "1e200:1e200:1", "--out", "x.csv"], tmp_path)
+    assert overflow.returncode == 3
+    assert overflow.stderr == "qcorr: numeric failure: energy gap times t overflows at t = 1e+200\n"

@@ -7,7 +7,6 @@ from qcorr.correlations import (
     concurrence_x_state,
     conditional_entropy,
     correlation_report,
-    measurement_projectors,
     minimize_conditional_entropy,
 )
 from qcorr.linalg import partial_trace, von_neumann_entropy
@@ -113,29 +112,6 @@ def test_mutual_information_trivial_states():
     assert correlation_report(pure00).mutual_information == pytest.approx(0.0, abs=1e-12)
 
 
-def test_projectors_theta_zero():
-    b0, b1 = measurement_projectors(MeasurementBasis(0.0, 0.0))
-    assert np.abs(b0 - np.diag([1.0, 0.0])).max() <= 1e-14
-    assert np.abs(b1 - np.diag([0.0, 1.0])).max() <= 1e-14
-
-
-def test_projectors_hadamard_case():
-    b0, _ = measurement_projectors(MeasurementBasis(np.pi / 4.0, 0.0))
-    assert np.abs(b0 - 0.5 * np.ones((2, 2))).max() <= 1e-14
-
-
-def test_projectors_complete_orthogonal_idempotent():
-    rng = np.random.default_rng(109)
-    for _ in range(100):
-        basis = MeasurementBasis(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
-        b0, b1 = measurement_projectors(basis)
-        assert np.abs(b0 + b1 - np.eye(2)).max() <= 1e-14
-        assert np.abs(b0 @ b1).max() <= 1e-14
-        for b in (b0, b1):
-            assert np.abs(b @ b - b).max() <= 1e-14
-            assert np.linalg.matrix_rank(b, tol=1e-10) == 1
-
-
 def test_basis_range_validation():
     with pytest.raises(ValueError):
         MeasurementBasis(-0.1, 0.0)
@@ -220,13 +196,28 @@ def test_minimize_dominates_random_bases():
 
 
 def test_minimize_value_below_every_grid_sample():
-    from qcorr.correlations import _GRID_P, _GRID_T, _conditional_entropy_batch
+    # every point of the full 65 x 128 grid over theta in [0, pi/2], of which
+    # the search evaluates only the half with theta <= pi/4
+    from qcorr.correlations import GRID_PHI, _basis_trig, _conditional_entropy_from_trig
 
     rng = np.random.default_rng(149)
     rho = random_density_matrix(rng)
     _, value = minimize_conditional_entropy(rho)
-    grid_vals = _conditional_entropy_batch(rho.reshape(2, 2, 2, 2), _GRID_T, _GRID_P)
+    full_theta = np.linspace(0.0, np.pi / 2.0, 65)
+    grid_vals = _conditional_entropy_from_trig(rho.reshape(2, 2, 2, 2), *_basis_trig(full_theta, GRID_PHI))
+    assert grid_vals.shape == (65, 128)
     assert value <= grid_vals.min() + 1e-15
+
+
+def test_conditional_entropy_invariant_under_outcome_swap():
+    # (pi/2 - theta, phi + pi) is the same measurement with its outcomes swapped
+    rng = np.random.default_rng(197)
+    for _ in range(200):
+        rho = random_density_matrix(rng)
+        theta, phi = rng.uniform(0.0, np.pi / 2.0), rng.uniform(0.0, 2.0 * np.pi)
+        swapped = MeasurementBasis(np.pi / 2.0 - theta, (phi + np.pi) % (2.0 * np.pi))
+        s = conditional_entropy(rho, MeasurementBasis(theta, phi))
+        assert abs(conditional_entropy(rho, swapped) - s) <= 1e-14
 
 
 def test_x_state_reduction_matches_explicit_sandwich():

@@ -8,7 +8,6 @@ from qcorr.model import (
     ModelParams,
     ThermalPoint,
     bell_initial_state,
-    build_hamiltonian,
     hamiltonian_spectrum,
     milburn_closed_form,
     milburn_evolve,
@@ -20,6 +19,7 @@ from oracles import (
     eig_hermitian,
     milburn_bell_quadratic_mu,
     random_density_matrix,
+    readme_hamiltonian,
     thermal_oracle,
     unitary_evolution_oracle,
 )
@@ -32,8 +32,9 @@ def random_params(rng, coupling_scale=1.0):
     return ModelParams(jx=jx, jy=jy, jz=jz, dz=dz)
 
 
+# the entries of the oracle H that the dense tests below build on
 def test_hamiltonian_entries_fig1():
-    h = build_hamiltonian(FIG1_PARAMS)
+    h = readme_hamiltonian(FIG1_PARAMS)
     # 1-indexed (1,1)=Jz/2, (1,4)=(Jx-Jy)/2, (2,3)=beta/2 with beta=Jx+Jy+2i*Dz
     assert h[0, 0] == pytest.approx(0.4)
     assert h[0, 3] == pytest.approx(-0.1)
@@ -43,31 +44,14 @@ def test_hamiltonian_entries_fig1():
 
 
 def test_hamiltonian_zero_params():
-    assert np.abs(build_hamiltonian(ModelParams(0, 0, 0, 0))).max() == 0.0
+    assert np.abs(readme_hamiltonian(ModelParams(0, 0, 0, 0))).max() == 0.0
 
 
 def test_hamiltonian_equal_xy_kills_corners():
-    h = build_hamiltonian(ModelParams(1.0, 1.0, 0.0, 0.0))
+    h = readme_hamiltonian(ModelParams(1.0, 1.0, 0.0, 0.0))
     assert h[0, 3] == 0.0 and h[3, 0] == 0.0
     assert h[1, 2] == pytest.approx(1.0)
     assert h[2, 1] == pytest.approx(1.0)
-
-
-def test_hamiltonian_matches_pauli_construction():
-    # independent route: assemble from explicit Pauli tensor products
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        p = random_params(rng, 2.0)
-        direct = 0.5 * (
-            p.jx * np.kron(sx, sx)
-            + p.jy * np.kron(sy, sy)
-            + p.jz * np.kron(sz, sz)
-            + p.dz * (np.kron(sx, sy) - np.kron(sy, sx))
-        )
-        assert np.abs(build_hamiltonian(p) - direct).max() <= 1e-15
 
 
 def test_spectrum_fig1_values():
@@ -100,7 +84,7 @@ def test_thermal_state_corner_vanishes_for_equal_xy():
 def test_thermal_state_against_expm_oracle():
     p = FIG1_PARAMS
     rho = thermal_state(ThermalPoint(p, 1.0))
-    ref = thermal_oracle(build_hamiltonian(p), 1.0)
+    ref = thermal_oracle(readme_hamiltonian(p), 1.0)
     assert np.abs(rho - ref).max() <= 1e-10
 
 
@@ -110,7 +94,7 @@ def test_thermal_state_random_params_vs_oracle():
         p = random_params(rng)
         t = float(rng.uniform(0.05, 3.0))
         rho = thermal_state(ThermalPoint(p, t))
-        ref = thermal_oracle(build_hamiltonian(p), t)
+        ref = thermal_oracle(readme_hamiltonian(p), t)
         assert np.abs(rho - ref).max() <= 1e-10
 
 
@@ -120,7 +104,7 @@ def test_thermal_state_closed_form_matches_spectral():
         p = random_params(rng)
         t = float(rng.uniform(0.02, 2.0))
         a = thermal_state(ThermalPoint(p, t))
-        b = dense_gibbs_state(build_hamiltonian(p), t)
+        b = dense_gibbs_state(readme_hamiltonian(p), t)
         assert np.abs(a - b).max() <= 1e-12
 
 
@@ -176,7 +160,7 @@ def test_milburn_gamma_zero_is_unitary():
         t = float(rng.uniform(0.0, 5.0))
         rho0 = random_density_matrix(rng)
         evolved = milburn_evolve(DecoherenceParams(p, 0.0, t), rho0)
-        ref = unitary_evolution_oracle(build_hamiltonian(p), rho0, t)
+        ref = unitary_evolution_oracle(readme_hamiltonian(p), rho0, t)
         assert np.abs(evolved - ref).max() <= 1e-10
 
 
@@ -309,7 +293,7 @@ def test_spectrum_matches_dense_eigh():
     rng = np.random.default_rng(79)
     for _ in range(200):
         p = random_params(rng, 5.0)
-        h = build_hamiltonian(p)
+        h = readme_hamiltonian(p)
         dec = hamiltonian_spectrum(p)
         assert np.abs(dec.eigenvalues - eig_hermitian(h).eigenvalues).max() <= 1e-10
         residual = h @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
@@ -326,3 +310,24 @@ def test_milburn_closed_form_finite_when_mu_squared_underflows():
         closed = milburn_closed_form(dp)
         assert np.abs(closed - bell_initial_state()).max() <= 1e-12
         assert np.abs(milburn_evolve(dp, bell_initial_state()) - closed).max() <= 1e-12
+
+
+def test_milburn_finite_when_gaps_squared_overflow():
+    # gaps near 3e200 overflow gap**2: no damping at gamma t = 0, full damping after
+    p = ModelParams(1e200, 1e200, 0.0, 1e200)
+    bell = bell_initial_state()
+    dp = DecoherenceParams(p, 0.1, 0.0)
+    assert np.abs(milburn_evolve(dp, bell) - bell).max() <= 1e-15
+    assert np.abs(milburn_closed_form(dp) - bell).max() <= 1e-15
+    dp = DecoherenceParams(p, 0.0, 2.5)  # unitary: the two derivations still agree
+    assert np.abs(milburn_evolve(dp, bell) - milburn_closed_form(dp)).max() <= 1e-14
+    dp = DecoherenceParams(p, 0.1, 1.0)
+    steady = np.zeros((4, 4), dtype=complex)
+    steady[1, 1] = steady[2, 2] = 0.5
+    steady[1, 2] = (p.beta / p.mu) * ((p.jx + p.jy) / p.mu) / 2.0
+    steady[2, 1] = steady[1, 2].conjugate()
+    assert np.abs(milburn_evolve(dp, bell) - steady).max() <= 1e-15
+    assert np.abs(milburn_closed_form(dp) - steady).max() <= 1e-15
+    for gamma in (0.0, 0.1):
+        with pytest.raises(NumericFailure, match="overflows"):  # gap * t overflows
+            milburn_evolve(DecoherenceParams(p, gamma, 1e200), bell)

@@ -9,6 +9,9 @@
 * Entropy bounds on Gibbs, dephased and random states: CC <= min(S_A, S_B)
   (Henderson and Vedral, J. Phys. A 34, 6899 (2001)) and QD <= S_B, with B
   the measured qubit.
+* When the Dz = 0 ground state lies in the inner (odd-parity) block, C, CC
+  and I of the Gibbs state do not fall as |Dz| grows; QD may (README,
+  "Where Dz helps and where it hurts").
 
 Examples are derandomized, so every run draws the same points.
 """
@@ -16,7 +19,7 @@ Examples are derandomized, so every run draws the same points.
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcorr.correlations import correlation_report
@@ -36,6 +39,7 @@ from oracles import random_density_matrix
 SYMMETRY_TOL = 1e-9
 SCALE_TOL = 1e-12
 BOUND_TOL = 1e-9
+MONOTONE_TOL = 1e-9
 
 coupling = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 params = st.builds(ModelParams, coupling, coupling, coupling, coupling)
@@ -124,3 +128,15 @@ def test_classical_correlation_below_both_local_entropies(rho):
 @given(states)
 def test_discord_below_measured_qubit_entropy(rho):
     assert correlation_report(rho).quantum_discord <= _local_entropies(rho)[1] + BOUND_TOL
+
+
+@settings(common, max_examples=60)
+@given(coupling, coupling, coupling, temperature, st.floats(0.1, 3.0), st.sampled_from((-1.0, 1.0)))
+def test_inner_block_gibbs_correlations_grow_with_dz(jx, jy, jz, t, dz_max, sign):
+    # inner-block ground level -(Jz + |Jx+Jy|)/2 at or below the outer one (Jz - |Jx-Jy|)/2
+    assume(-jz - abs(jx + jy) <= jz - abs(jx - jy))
+    rows = []
+    for dz in sign * np.linspace(0.0, dz_max, 9):
+        rep = correlation_report(thermal_state(ThermalPoint(ModelParams(jx, jy, jz, dz), t)))
+        rows.append((rep.concurrence, rep.classical_correlation, rep.mutual_information))
+    assert np.diff(np.array(rows), axis=0).min() >= -MONOTONE_TOL
