@@ -19,12 +19,20 @@ The measurement family is B_k = V |k><k| V^dag with
 
 and theta in [0, pi/2], phi in [0, 2*pi) covering every direction on the
 Bloch sphere.  (pi/2 - theta, phi + pi) is the same measurement with its
-outcomes swapped, so the coarse 33 x 128 grid covers theta in [0, pi/4]
-only; its minimum is refined on shrinking 17 x 17 local grids with theta
-in [0, pi/2] (so it may cross pi/4) and phi periodic (so it wraps through
-phi = 0).  Grid ties resolve to the smallest theta, then phi.  One
-evaluator, broadcasting a theta column against a phi row, serves the grid,
-the refinement and ``conditional_entropy``.
+outcomes swapped, so the coarse grid covers theta in [0, pi/4] only (33
+points, ``GRID_THETA``); the refinement clips theta to [0, pi/2], so it may
+cross pi/4.
+
+Two evaluators share one search schedule.  An X-shaped state (every entry
+off the diagonal and anti-diagonal at most ``X_SHAPE_TOL``) is measured at
+the phase phi* = (arg rho23 - arg rho14)/2, which is optimal for every theta
+(Chen, Zhang, Yu, Yi & Oh, PRA 84, 042313 (2011)), so its search is the
+theta line alone: every discrete local minimum of the coarse line is
+refined on shrinking 17-point stencils, all of them in one batched call per
+round.  Any other state is searched over the 33 x 128 (theta, phi) grid,
+whose minimum is refined on shrinking 17 x 17 stencils with phi periodic
+(so it wraps through phi = 0).  Ties resolve to the smallest theta, then
+phi.
 
 Everything here is pure and deterministic.
 """
@@ -130,15 +138,16 @@ def concurrence_x_state(rho: np.ndarray) -> float:
     return _concurrence_x(rho)
 
 
-def _entropy_terms(n00, n11, n01) -> np.ndarray:
+def _entropy_terms(n00, n11, n01_sq) -> np.ndarray:
     """p_k * S(rho_k) for conditioned 2x2 blocks given as entry arrays.
 
-    The block [[n00, n01], [conj(n01), n11]] is the unnormalized state of
-    qubit A after the measurement outcome; its trace is the outcome
-    probability.  Outcomes with probability <= 1e-12 contribute zero.
+    The block [[n00, n01], [conj(n01), n11]], with n01_sq = |n01|^2, is the
+    unnormalized state of qubit A after the measurement outcome; its trace
+    is the outcome probability.  Outcomes with probability <= 1e-12
+    contribute zero.
     """
     p = n00 + n11
-    disc = np.sqrt((n00 - n11) ** 2 + 4.0 * (n01.real**2 + n01.imag**2))
+    disc = np.sqrt((n00 - n11) ** 2 + 4.0 * n01_sq)
     safe_p = np.where(p > _PROB_FLOOR, p, 1.0)
     out = np.zeros_like(p)
     for lam in ((p + disc) / (2.0 * safe_p), (p - disc) / (2.0 * safe_p)):
@@ -177,9 +186,27 @@ def _conditional_entropy_from_trig(r4, c2, s2, z) -> np.ndarray:
     ra11 = (r4[1, 0, 1, 0] + r4[1, 1, 1, 1]).real
     ra01 = r4[0, 0, 1, 0] + r4[0, 1, 1, 1]
 
-    total = _entropy_terms(n00.real, n11.real, n01)
-    total += _entropy_terms(ra00 - n00.real, ra11 - n11.real, ra01 - n01)
+    total = _entropy_terms(n00.real, n11.real, n01.real**2 + n01.imag**2)
+    m01 = ra01 - n01
+    total += _entropy_terms(ra00 - n00.real, ra11 - n11.real, m01.real**2 + m01.imag**2)
     return total
+
+
+def _x_conditional_entropy(d, k, thetas) -> np.ndarray:
+    """Conditional entropy of an X state at each theta, measured at phi*.
+
+    d is the real diagonal (rho11, rho22, rho33, rho44) and k = |rho14| + |rho23|.
+    At phi* the outcome-0 block is [[c2 d0 + s2 d1, cs k], [cs k, c2 d2 + s2 d3]]
+    with c2 = cos^2(theta), s2 = sin^2(theta), cs = cos(theta) sin(theta).
+    Outcome 1 is outcome 0 at pi/2 - theta (c2 and s2 swapped), so both
+    outcomes stack on a leading axis through one ``_entropy_terms`` call.
+    """
+    c, s = np.cos(thetas), np.sin(thetas)
+    c2, s2 = c * c, s * s
+    a, b = np.stack((c2, s2)), np.stack((s2, c2))
+    off = c * s * k
+    terms = _entropy_terms(a * d[0] + b * d[1], a * d[2] + b * d[3], off * off)
+    return terms[0] + terms[1]
 
 
 def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
@@ -192,18 +219,52 @@ def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
 def minimize_conditional_entropy(rho: np.ndarray):
     """Global minimum of the measured conditional entropy over (theta, phi).
 
-    Returns (MeasurementBasis, value).  The coarse grid minimum is refined on
-    shrinking 17 x 17 local grids spanning two spacings either side of the
-    incumbent, 4x finer each round until the theta spacing is below 1e-9.
-    phi is treated as periodic, so the search wraps through phi = 0.  A
-    refined point replaces the incumbent only when strictly lower, so the
-    value never exceeds any coarse grid sample.
+    Returns (MeasurementBasis, value).  One schedule, two evaluators (see
+    the module docstring): an X-shaped state is searched on the theta line
+    at phi*, reporting phi = 0 where phi cannot change the measurement
+    (theta = 0 or rho14 = rho23 = 0); any other state on the (theta, phi)
+    grid.  Each refinement round is 4x finer until the theta spacing is
+    below 1e-9, and a refined point replaces its incumbent only when
+    strictly lower, so the value never exceeds any coarse sample of its
+    route.
     """
     rho = validate_two_qubit_state(rho)
-    return _minimize_checked(rho)
+    return _minimize_x(rho) if _off_x_spill(rho) <= X_SHAPE_TOL else _minimize_grid(rho)
 
 
-def _minimize_checked(rho: np.ndarray):
+def _fold_phi(phi: float) -> float:
+    phi = phi % (2.0 * np.pi)
+    return 0.0 if phi >= 2.0 * np.pi else phi  # a tiny negative phi folds onto 2*pi in round-off
+
+
+def _minimize_x(rho: np.ndarray):
+    d = rho.diagonal().real
+    k = abs(rho[0, 3]) + abs(rho[1, 2])
+    vals = _x_conditional_entropy(d, k, GRID_THETA)
+    # refine the first point of every run of equal values lower than both neighbours
+    padded = np.concatenate(([np.inf], vals, [np.inf]))
+    idx = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))
+    ths, best = GRID_THETA[idx], vals[idx]
+
+    rows = np.arange(idx.size)
+    dt = float(GRID_THETA[1])
+    while dt >= _REFINE_MIN_STEP:
+        thetas = np.clip(ths[:, None] + dt * _STENCIL, 0.0, np.pi / 2.0)
+        vals = _x_conditional_entropy(d, k, thetas)
+        j = np.argmin(vals, axis=1)
+        lower = vals[rows, j] < best
+        best = np.where(lower, vals[rows, j], best)
+        ths = np.where(lower, thetas[rows, j], ths)
+        dt /= 4.0
+    best_val = float(best.min())
+    theta = float(ths[best == best_val].min())
+    phi = 0.0
+    if theta > 0.0 and k > 0.0:
+        phi = _fold_phi((np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0)
+    return MeasurementBasis(theta=theta, phi=phi), best_val
+
+
+def _minimize_grid(rho: np.ndarray):
     r4 = rho.reshape(2, 2, 2, 2)
     vals = _conditional_entropy_from_trig(r4, *_GRID_TRIG).ravel()
     best_val = float(vals.min())
@@ -221,28 +282,25 @@ def _minimize_checked(rho: np.ndarray):
             best_val, th0, ph0 = float(vals[i, j]), float(thetas[i]), float(phis[j])
         dt /= 4.0
         dp /= 4.0
-    ph0 = ph0 % (2.0 * np.pi)
-    if ph0 >= 2.0 * np.pi:  # a tiny negative phi folds onto 2*pi in round-off
-        ph0 = 0.0
-    return MeasurementBasis(theta=th0, phi=ph0), best_val
+    return MeasurementBasis(theta=th0, phi=_fold_phi(ph0)), best_val
 
 
 def correlation_report(rho: np.ndarray) -> CorrelationReport:
     """All four measures of one state, sharing a single basis minimization.
 
-    X-shaped states take the exact algebraic concurrence route; the general
-    spin-flip route square-roots near-zero eigenvalues and carries a noise
-    floor around sqrt(machine epsilon).
+    X-shaped states take the theta-line discord search and the exact
+    algebraic concurrence route; the general spin-flip route square-roots
+    near-zero eigenvalues and carries a noise floor around
+    sqrt(machine epsilon).
     """
     rho, lam = validated_spectrum(rho)
     sa = von_neumann_entropy(_reduced_state(rho, "A"))
     sb = von_neumann_entropy(_reduced_state(rho, "B"))
     sab = _spectrum_entropy(lam)
-    basis, smin = _minimize_checked(rho)
     if _off_x_spill(rho) <= X_SHAPE_TOL:
-        conc = _concurrence_x(rho)
+        (basis, smin), conc = _minimize_x(rho), _concurrence_x(rho)
     else:
-        conc = _concurrence_checked(rho)
+        (basis, smin), conc = _minimize_grid(rho), _concurrence_checked(rho)
     return CorrelationReport(
         concurrence=conc,
         mutual_information=sa + sb - sab,

@@ -175,8 +175,12 @@ def milburn_evolve(dp: DecoherenceParams, rho0: np.ndarray) -> np.ndarray:
     v = dec.eigenvectors
     coeff = v.conj().T @ rho0 @ v
     gaps = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
+    rate = 0.5 * dp.gamma * dp.time
     with np.errstate(over="ignore"):  # an overflowing damping leaves a zero coherence
-        damping = 0.0 if dp.gamma == 0.0 or dp.time == 0.0 else (0.5 * dp.gamma * dp.time) * gaps**2
+        if rate > 0.0:
+            damping = rate * gaps**2
+        else:  # gamma or t is 0, or gamma t / 2 underflows: no 0 * inf from gaps**2
+            damping = (math.sqrt(0.5 * dp.gamma) * math.sqrt(dp.time) * gaps) ** 2
         phases = gaps * dp.time
     if not np.isfinite(phases).all():
         raise NumericFailure(f"energy gap times t overflows at t = {dp.time:g}")
@@ -206,11 +210,14 @@ def milburn_closed_form(dp: DecoherenceParams) -> np.ndarray:
         return bell_initial_state()
     # no damping at gamma t = 0, where 0 * mu * mu could be 0 * inf
     env = 1.0 if dp.gamma == 0.0 or dp.time == 0.0 else math.exp(-0.5 * dp.gamma * mu * mu * dp.time)
-    wobble = p.dz * env * math.sin(mu * dp.time) / mu
+    angle = mu * dp.time
+    if not math.isfinite(angle):
+        raise NumericFailure(f"energy gap times t overflows at t = {dp.time:g}")
+    wobble = p.dz * env * math.sin(angle) / mu
     rho[1, 1] = 0.5 + wobble
     rho[2, 2] = 0.5 - wobble
     jsum = p.jx + p.jy
     # (beta / mu) and (...) / mu each stay bounded; mu * mu may underflow
-    rho[1, 2] = (p.beta / mu) * ((jsum - 2j * p.dz * env * math.cos(mu * dp.time)) / mu) / 2.0
+    rho[1, 2] = (p.beta / mu) * ((jsum - 2j * p.dz * env * math.cos(angle)) / mu) / 2.0
     rho[2, 1] = rho[1, 2].conjugate()
     return rho

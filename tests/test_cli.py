@@ -226,3 +226,15 @@ def test_main_decohere_at_huge_couplings(tmp_path):
     overflow = _run_cli(huge + ["--time-range", "1e200:1e200:1", "--out", "x.csv"], tmp_path)
     assert overflow.returncode == 3
     assert overflow.stderr == "qcorr: numeric failure: energy gap times t overflows at t = 1e+200\n"
+
+
+def test_main_decohere_when_gamma_t_underflows(tmp_path):
+    # gamma * t / 2 underflows to 0 while the gaps squared overflow; the true
+    # damping (about 4e70) leaves the same steady state as at t = 1 above
+    args = ["decohere", "--jx", "1e200", "--jy", "1e200", "--dz", "1e200", "--gamma", "1e-300",
+            "--time-range", "1e-30:1e-30:1", "--out", "x.csv"]
+    done = _run_cli(args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr
+    rows = [line.split(",")[:6] for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
+    assert rows == [["1e+200", "1e-30", "0.707106781187", "1", "0.399123963307", "1.39912396331"]]

@@ -260,10 +260,60 @@ def test_x_state_oracle_has_interior_minima():
 
 
 def test_minimize_matches_x_state_oracle():
+    from qcorr.correlations import _minimize_grid
+
     for rho in _x_states_for_discord():
-        _, value = minimize_conditional_entropy(rho)
+        basis, value = minimize_conditional_entropy(rho)
         oracle = x_state_min_conditional_entropy(rho)
         assert oracle - 1e-9 <= value <= oracle + 1e-12
+        _, grid_value = _minimize_grid(rho)  # the 2-D search as an oracle
+        assert value <= grid_value + 1e-14
+        # the general evaluator at the returned basis, phi* included, agrees
+        assert abs(conditional_entropy(rho, basis) - value) <= 1e-12
+
+
+def test_x_route_refines_every_local_minimum(monkeypatch):
+    # a synthetic theta line with two basins: the coarse argmin is the node at
+    # the bottom of the shallow one, the deeper one lies between two nodes
+    import qcorr.correlations as corr
+
+    node = corr.GRID_THETA
+    shallow, deep = float(node[8]), float(node[20] + node[1] / 2.0)
+
+    def two_wells(d, k, thetas):
+        t = np.asarray(thetas)
+        return np.minimum(10.0 * (t - shallow) ** 2, (t - deep) ** 2 - 1e-6)
+
+    monkeypatch.setattr(corr, "_x_conditional_entropy", two_wells)
+    assert two_wells(None, None, node).argmin() == 8
+    basis, value = corr._minimize_x(bell_initial_state())
+    assert abs(basis.theta - deep) <= 1e-8
+    assert value == pytest.approx(-1e-6, abs=1e-15)
+
+    # equal wells on two grid nodes: the smaller theta wins
+    monkeypatch.setattr(corr, "_x_conditional_entropy",
+                        lambda d, k, thetas: np.minimum((thetas - shallow) ** 2, (thetas - node[20]) ** 2))
+    basis, value = corr._minimize_x(bell_initial_state())
+    assert (basis.theta, value) == (shallow, 0.0)
+
+
+@pytest.mark.parametrize("spill, route", [(0.99e-10, "_minimize_x"), (1.01e-10, "_minimize_grid")])
+def test_spill_selects_the_discord_route(monkeypatch, spill, route):
+    import qcorr.correlations as corr
+
+    rho = thermal_state(ThermalPoint(ModelParams(0.2, 0.4, 0.8, 1.0), 1.0))
+    rho[0, 1] = spill
+    rho[1, 0] = spill
+    calls = []
+    for name in ("_minimize_x", "_minimize_grid"):
+        fn = getattr(corr, name)
+        monkeypatch.setattr(corr, name, lambda r, fn=fn, name=name: calls.append(name) or fn(r))
+    _, value = minimize_conditional_entropy(rho)
+    report = correlation_report(rho)
+    assert calls == [route, route]
+    assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
+    assert report.classical_correlation == pytest.approx(
+        von_neumann_entropy(partial_trace(rho, "A")) - value, abs=1e-12)
 
 
 def test_classical_correlation_trivial_states():

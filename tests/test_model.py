@@ -321,13 +321,19 @@ def test_milburn_finite_when_gaps_squared_overflow():
     assert np.abs(milburn_closed_form(dp) - bell).max() <= 1e-15
     dp = DecoherenceParams(p, 0.0, 2.5)  # unitary: the two derivations still agree
     assert np.abs(milburn_evolve(dp, bell) - milburn_closed_form(dp)).max() <= 1e-14
-    dp = DecoherenceParams(p, 0.1, 1.0)
     steady = np.zeros((4, 4), dtype=complex)
     steady[1, 1] = steady[2, 2] = 0.5
     steady[1, 2] = (p.beta / p.mu) * ((p.jx + p.jy) / p.mu) / 2.0
     steady[2, 1] = steady[1, 2].conjugate()
-    assert np.abs(milburn_evolve(dp, bell) - steady).max() <= 1e-15
-    assert np.abs(milburn_closed_form(dp) - steady).max() <= 1e-15
+    # at gamma = 1e-300, t = 1e-30 the product gamma t / 2 underflows to 0,
+    # yet the damping (sqrt(gamma/2) sqrt(t) gap)^2 is about 4e70
+    for dp in (DecoherenceParams(p, 0.1, 1.0), DecoherenceParams(p, 1e-300, 1e-30)):
+        assert np.abs(milburn_evolve(dp, bell) - steady).max() <= 1e-15
+        assert np.abs(milburn_closed_form(dp) - steady).max() <= 1e-15
     for gamma in (0.0, 0.1):
-        with pytest.raises(NumericFailure, match="overflows"):  # gap * t overflows
-            milburn_evolve(DecoherenceParams(p, gamma, 1e200), bell)
+        dp = DecoherenceParams(p, gamma, 1e200)  # gap * t overflows
+        with pytest.raises(NumericFailure, match="energy gap times t overflows at t = 1e"):
+            milburn_evolve(dp, bell)
+        with pytest.raises(NumericFailure, match="energy gap times t overflows at t = 1e"):
+            milburn_closed_form(dp)
+
