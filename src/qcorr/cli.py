@@ -41,7 +41,7 @@ _MODE_BY_COMMAND = {"thermal": "thermal", "decohere": "decoherence"}
 _FLOAT_KEYS = ("jx", "jy", "jz", "dz", "gamma")
 _RANGE_KEYS = ("t-range", "time-range", "dz-range")
 _ALL_KEYS = ("mode", "preset", "out") + _FLOAT_KEYS + _RANGE_KEYS
-_RANGE_FLAGS = tuple(f"--{key}" for key in _RANGE_KEYS)
+_VALUE_FLAGS = tuple(f"--{key}" for key in ("preset", "config", "out") + _FLOAT_KEYS + _RANGE_KEYS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,11 +64,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _join_negative_ranges(argv) -> list:
-    """'--dz-range -1:1:0.5' -> '--dz-range=-1:1:0.5'; argparse takes '-1:1:0.5' for an option."""
+def _join_negative_values(argv) -> list:
+    """'--jy -1e-1' -> '--jy=-1e-1'; argparse takes '-1e-1' or '-1:1:0.5' for an option."""
     out = []
     for token in argv:
-        if out and out[-1] in _RANGE_FLAGS and token.startswith("-") and ":" in token:
+        if out and out[-1] in _VALUE_FLAGS and token.startswith("-") and not token.startswith("--"):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -163,7 +163,7 @@ def build_config(merged: dict) -> SweepConfig:
 
 def parse_config(argv) -> SweepConfig:
     """Build a validated SweepConfig from CLI arguments (and --config file)."""
-    args = _build_parser().parse_args(_join_negative_ranges(argv))
+    args = _build_parser().parse_args(_join_negative_values(argv))
     if args.command is None:
         raise ConfigError("missing command: expected thermal or decohere")
     mode = _MODE_BY_COMMAND[args.command]

@@ -45,15 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .linalg import validate_two_qubit_state, validated_spectrum, von_neumann_entropy
-from .linalg import _reduced_state, _spectrum_entropy
+from .linalg import validate_two_qubit_state, validated_spectrum
+from .linalg import _reduced_state, _spectrum_entropy, _xlog2x
 
 # sigma_y (x) sigma_y, the spin flip of the concurrence
 _Y4 = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
 _Y4.setflags(write=False)
 
 X_SHAPE_TOL = 1e-10
-_PROB_FLOOR = 1e-12
 
 # coarse search grid over half the theta range, spacing pi/128 in both angles
 GRID_THETA = np.linspace(0.0, np.pi / 4.0, 33)
@@ -139,24 +138,17 @@ def concurrence_x_state(rho: np.ndarray) -> float:
 
 
 def _entropy_terms(n00, n11, n01_sq) -> np.ndarray:
-    """p_k * S(rho_k) for conditioned 2x2 blocks given as entry arrays.
+    """p * S(block / p) = p log2 p - sum(l log2 l) for 2x2 blocks given as entry arrays.
 
-    The block [[n00, n01], [conj(n01), n11]], with n01_sq = |n01|^2, is the
-    unnormalized state of qubit A after the measurement outcome; its trace
-    is the outcome probability.  Outcomes with probability <= 1e-12
-    contribute zero.
+    The block [[n00, n01], [conj(n01), n11]], with n01_sq = |n01|^2, has
+    trace p and eigenvalues l; for a conditioned block of qubit A, p is the
+    outcome probability.  Nothing divides by p, so every outcome counts,
+    with 0 log 0 = 0; round-off below zero is clipped.
     """
     p = n00 + n11
     disc = np.sqrt((n00 - n11) ** 2 + 4.0 * n01_sq)
-    safe_p = np.where(p > _PROB_FLOOR, p, 1.0)
-    out = np.zeros_like(p)
-    for lam in ((p + disc) / (2.0 * safe_p), (p - disc) / (2.0 * safe_p)):
-        np.clip(lam, 0.0, None, out=lam)
-        mask = lam > _PROB_FLOOR
-        logl = np.log2(lam, out=np.zeros_like(lam), where=mask)
-        out -= lam * logl
-    np.clip(out, 0.0, None, out=out)  # entropy round-off must not go negative
-    return np.where(p > _PROB_FLOOR, p * out, 0.0)
+    out = _xlog2x(p) - _xlog2x(0.5 * (p + disc)) - _xlog2x(0.5 * (p - disc))
+    return np.maximum(out, 0.0)
 
 
 def _basis_trig(thetas, phis):
@@ -294,8 +286,8 @@ def correlation_report(rho: np.ndarray) -> CorrelationReport:
     sqrt(machine epsilon).
     """
     rho, lam = validated_spectrum(rho)
-    sa = von_neumann_entropy(_reduced_state(rho, "A"))
-    sb = von_neumann_entropy(_reduced_state(rho, "B"))
+    r = np.stack((_reduced_state(rho, "A"), _reduced_state(rho, "B")))
+    sa, sb = _entropy_terms(r[:, 0, 0].real, r[:, 1, 1].real, np.abs(r[:, 0, 1]) ** 2).tolist()
     sab = _spectrum_entropy(lam)
     if _off_x_spill(rho) <= X_SHAPE_TOL:
         (basis, smin), conc = _minimize_x(rho), _concurrence_x(rho)

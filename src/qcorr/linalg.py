@@ -4,7 +4,9 @@ Density-matrix validation, partial trace and von Neumann entropy.
 All functions are pure and treat their array arguments as immutable, so
 values can be shared freely across workers.
 
-Entropies are in bits (base-2 logarithms) throughout the package.
+Entropies are in bits (base-2 logarithms) throughout the package, and
+every one of them is built from the kernel x log2 x with 0 log 0 = 0
+(``_xlog2x``); no eigenvalue or probability is floored.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     """Entropy -sum(lam * log2 lam) in bits of a Hermitian, PSD, unit-trace matrix.
 
     Eigenvalues in [-1e-10, 0) are treated as round-off and clipped to zero;
-    anything more negative raises ValueError.  Eigenvalues at or below 1e-12
-    contribute nothing.
+    anything more negative raises ValueError.  Every positive eigenvalue
+    counts, with 0 log 0 = 0.
     """
     m = _as_square(m)
     if not is_hermitian(m):
@@ -84,9 +86,13 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     return _spectrum_entropy(lam)
 
 
+def _xlog2x(x) -> np.ndarray:
+    """x log2 x elementwise, 0 where x <= 0 (0 log 0 = 0; negative round-off counts as 0)."""
+    pos = x > 0.0
+    return np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
+
+
 def _spectrum_entropy(lam: np.ndarray) -> float:
-    """von_neumann_entropy from the checked ascending eigenvalues of a state."""
-    top = float(np.log2(lam.size))
-    lam = lam[lam > 1e-12]
-    s = float(-(lam * np.log2(lam)).sum())
-    return min(max(s, 0.0), top)
+    """von_neumann_entropy from the checked eigenvalues of a state, clipped to [0, log2 n]."""
+    s = float(-_xlog2x(lam).sum())
+    return min(max(s, 0.0), float(np.log2(lam.size)))

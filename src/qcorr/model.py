@@ -100,6 +100,25 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
+_ENERGY_SCALES = ("mu = hypot(Jx+Jy, 2Dz)", "(Jz + (Jx-Jy))/2", "(Jz - (Jx-Jy))/2",
+                  "(-Jz + mu)/2", "(-Jz - mu)/2")
+
+
+def _block_levels(p: ModelParams) -> tuple:
+    """(mu, *levels): mu and the levels (Jz +- (Jx-Jy))/2, (-Jz +- mu)/2, outer block first.
+
+    Raises NumericFailure naming the first of them that overflows, so no
+    state is built from an infinite energy scale.
+    """
+    mu = p.mu
+    scales = (mu, (p.jz + (p.jx - p.jy)) / 2.0, (p.jz - (p.jx - p.jy)) / 2.0,
+              (-p.jz + mu) / 2.0, (-p.jz - mu) / 2.0)
+    for name, value in zip(_ENERGY_SCALES, scales):
+        if not math.isfinite(value):
+            raise NumericFailure(f"energy scale {name} overflows")
+    return scales
+
+
 def hamiltonian_spectrum(p: ModelParams) -> SpectralDecomposition:
     """Spectrum of the Hamiltonian from the two 2x2 parity blocks.
 
@@ -109,11 +128,11 @@ def hamiltonian_spectrum(p: ModelParams) -> SpectralDecomposition:
     columns.  Both arrays are read-only.
     """
     s = 1.0 / math.sqrt(2.0)
-    mu = p.mu
+    mu, *levels = _block_levels(p)
     # inner-block phase; arbitrary for mu = 0 (degenerate block)
     phase = p.beta / mu if mu > 0.0 else 1.0 + 0.0j
-    vals = np.array([p.jz + (p.jx - p.jy), p.jz - (p.jx - p.jy), -p.jz + mu, -p.jz - mu]) / 2.0
     vecs = s * np.array([[1, 1, 0, 0], [0, 0, phase, phase], [0, 0, 1, -1], [1, -1, 0, 0]], dtype=complex)
+    vals = np.array(levels)
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     vals.setflags(write=False)
@@ -130,7 +149,7 @@ def thermal_state(tp: ThermalPoint) -> np.ndarray:
     The result is X-shaped by construction.
     """
     p, t2 = tp.params, 2.0 * tp.temperature
-    mu = p.mu
+    mu = _block_levels(p)[0]
     a1 = (p.jx - p.jy - p.jz) / t2
     a2 = (p.jy - p.jx - p.jz) / t2
     b1 = (p.jz + mu) / t2
@@ -179,8 +198,9 @@ def milburn_evolve(dp: DecoherenceParams, rho0: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflowing damping leaves a zero coherence
         if rate > 0.0:
             damping = rate * gaps**2
-        else:  # gamma or t is 0, or gamma t / 2 underflows: no 0 * inf from gaps**2
-            damping = (math.sqrt(0.5 * dp.gamma) * math.sqrt(dp.time) * gaps) ** 2
+        else:  # gamma t = 0, or gamma t / 2 underflows: no 0 * inf from gaps**2, and
+            # no 0.5 * gamma, which is 0 at gamma = 5e-324
+            damping = 0.5 * (math.sqrt(dp.gamma) * math.sqrt(dp.time) * gaps) ** 2
         phases = gaps * dp.time
     if not np.isfinite(phases).all():
         raise NumericFailure(f"energy gap times t overflows at t = {dp.time:g}")
@@ -203,13 +223,16 @@ def milburn_closed_form(dp: DecoherenceParams) -> np.ndarray:
     machine precision, independent of Jz.
     """
     p = dp.params
-    mu = p.mu
+    mu = _block_levels(p)[0]
     rho = np.zeros((4, 4), dtype=complex)
     if mu == 0.0:
         # beta = 0: the Bell pair is an eigenstate and nothing moves
         return bell_initial_state()
-    # no damping at gamma t = 0, where 0 * mu * mu could be 0 * inf
-    env = 1.0 if dp.gamma == 0.0 or dp.time == 0.0 else math.exp(-0.5 * dp.gamma * mu * mu * dp.time)
+    if 0.5 * dp.gamma > 0.0 and dp.time > 0.0:
+        env = math.exp(-0.5 * dp.gamma * mu * mu * dp.time)
+    else:  # gamma t = 0, where 0 * mu * mu could be 0 * inf, or 0.5 * gamma underflows
+        root = math.sqrt(dp.gamma) * math.sqrt(dp.time) * mu
+        env = math.exp(-0.5 * root * root)
     angle = mu * dp.time
     if not math.isfinite(angle):
         raise NumericFailure(f"energy gap times t overflows at t = {dp.time:g}")

@@ -12,7 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from qcorr.cli import build_config
 from qcorr.correlations import concurrence, concurrence_x_state, correlation_report
+from qcorr.linalg import partial_trace, von_neumann_entropy
 from qcorr.model import (
     DecoherenceParams,
     ModelParams,
@@ -23,7 +25,7 @@ from qcorr.model import (
     milburn_evolve,
     thermal_state,
 )
-from qcorr.sweep import AxisRange, SweepConfig, find_zero_runs, run_sweep
+from qcorr.sweep import PRESETS, AxisRange, SweepConfig, find_zero_runs, run_sweep
 
 from oracles import (
     bell_diagonal_exact,
@@ -463,3 +465,41 @@ def test_criterion_9_low_temperature_report():
         "computed T=0.01 values (ground state is the entangled inner eigenvector): "
         + "; ".join(detail),
     )
+
+
+def test_criterion_10_every_preset_row_matches_its_theorem():
+    # Every Gibbs state has rho11 = rho44 and rho22 = rho33, so Luo's
+    # Bell-diagonal closed form is exact on every fig1 row.  The dephased
+    # Bell pair lives on span{|01>, |10>}: measuring sz on B leaves A pure,
+    # so S_min = 0, CC = S_A and QD = S_B - S_AB on every fig2 row, with the
+    # entropies taken from eigvalsh through von_neumann_entropy.
+    detail = []
+    ok = True
+    cfg = build_config(dict(PRESETS["fig1"], out="fig1.csv"))
+    devs = []
+    for row in run_sweep(cfg):
+        exact = gibbs_bell_diagonal_exact(replace(cfg.params, dz=row.dz), row.axis)
+        devs.append([abs(row.concurrence - exact["C"]), abs(row.classical_correlation - exact["CC"]),
+                     abs(row.quantum_discord - exact["QD"]), abs(row.mutual_information - exact["I"])])
+    devs = np.array(devs)
+    ok = ok and len(devs) == 6161 and bool((devs <= 1e-12).all())
+    detail.append(f"fig1 ({len(devs)} rows) vs Luo: " + ", ".join(
+        f"{k} max {v.max():.1e} ({int((v > 1e-12).sum())} above 1e-12)"
+        for k, v in zip(("C", "CC", "QD", "I"), devs.T)))
+
+    for name in ("fig2-lower", "fig2-upper"):
+        cfg = build_config(dict(PRESETS[name], out=f"{name}.csv"))
+        devs = []
+        for row in run_sweep(cfg):
+            dp = DecoherenceParams(replace(cfg.params, dz=row.dz), cfg.gamma, row.axis)
+            rho = milburn_evolve(dp, bell_initial_state())
+            sa = von_neumann_entropy(partial_trace(rho, "A"))
+            sb = von_neumann_entropy(partial_trace(rho, "B"))
+            sab = von_neumann_entropy(rho)
+            devs.append([abs(row.classical_correlation - sa), abs(row.quantum_discord - (sb - sab)),
+                         abs(row.mutual_information - (sa + sb - sab))])
+        devs = np.array(devs)
+        ok = ok and len(devs) == 1201 and bool((devs <= 1e-12).all())
+        detail.append(f"{name} ({len(devs)} rows) vs S_min = 0: " + ", ".join(
+            f"{k} max {v.max():.1e}" for k, v in zip(("CC - S_A", "QD - (S_B - S_AB)", "I"), devs.T)))
+    _verdict("criterion 10", ok, "; ".join(detail) + " (each <= 1e-12)")

@@ -113,6 +113,17 @@ def test_main_negative_range_in_spaced_form(tmp_path):
         parse_config(["thermal", "--t-range", "-.5:1:1", "--out", "x.csv"])
 
 
+def test_main_negative_exponent_flags_in_spaced_form(tmp_path):
+    # argparse reads '-1e-1' as an option, so every value flag rejoins its value
+    base = ["decohere", "--preset", "fig2-upper", "--time-range", "0:0.02:0.01"]
+    for spaced, joined in ((["--jy", "-1e-1"], ["--jy=-1e-1"]), (["--dz", "-2e0"], ["--dz=-2e0"])):
+        a, b = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(base + spaced + ["--out", str(a)]) == 0
+        assert main(base + joined + ["--out", str(b)]) == 0
+        assert a.read_text() == b.read_text()
+        assert len(a.read_text().splitlines()) == 4
+
+
 def test_main_decohere_end_to_end(tmp_path, capsys):
     out = tmp_path / "deco.csv"
     code = main(
@@ -230,11 +241,27 @@ def test_main_decohere_at_huge_couplings(tmp_path):
 
 def test_main_decohere_when_gamma_t_underflows(tmp_path):
     # gamma * t / 2 underflows to 0 while the gaps squared overflow; the true
-    # damping (about 4e70) leaves the same steady state as at t = 1 above
-    args = ["decohere", "--jx", "1e200", "--jy", "1e200", "--dz", "1e200", "--gamma", "1e-300",
-            "--time-range", "1e-30:1e-30:1", "--out", "x.csv"]
-    done = _run_cli(args, tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert "Warning" not in done.stderr
-    rows = [line.split(",")[:6] for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
-    assert rows == [["1e+200", "1e-30", "0.707106781187", "1", "0.399123963307", "1.39912396331"]]
+    # damping (about 4e70) leaves the same steady state as at t = 1 above.
+    # At gamma = 5e-324 even 0.5 * gamma is 0, and the damping is about 2e77.
+    for gamma, t in (("1e-300", "1e-30"), ("5e-324", "1")):
+        args = ["decohere", "--jx", "1e200", "--jy", "1e200", "--dz", "1e200", "--gamma", gamma,
+                "--time-range", f"{t}:{t}:1", "--out", "x.csv"]
+        done = _run_cli(args, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "Warning" not in done.stderr
+        rows = [line.split(",") for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
+        assert [row[:6] for row in rows] == [
+            ["1e+200", t, "0.707106781187", "1", "0.399123963307", "1.39912396331"]]
+        assert float(rows[0][6]) <= 1e-15
+
+
+def test_main_overflowing_energy_scale_is_a_numeric_failure(tmp_path):
+    # mu = hypot(Jx+Jy, 2Dz) is inf at Dz = 1e308
+    for args in (["thermal", "--jx", "1", "--jy", "1", "--jz", "1", "--dz", "1e308",
+                  "--t-range", "1:1:1", "--out", "x.csv"],
+                 ["decohere", "--jx", "1", "--jy", "1", "--dz", "1e308", "--gamma", "0.1",
+                  "--time-range", "0:1:1", "--out", "x.csv"]):
+        done = _run_cli(args, tmp_path)
+        assert done.returncode == 3
+        assert done.stderr == "qcorr: numeric failure: energy scale mu = hypot(Jx+Jy, 2Dz) overflows\n"
+        assert not (tmp_path / "x.csv").exists()

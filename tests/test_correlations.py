@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from qcorr.correlations import (
     MeasurementBasis,
+    _entropy_terms,
     concurrence,
     concurrence_x_state,
     conditional_entropy,
@@ -402,3 +405,30 @@ def test_report_additivity_on_model_states():
         assert rep.quantum_discord + rep.classical_correlation == pytest.approx(
             rep.mutual_information, abs=1e-9
         )
+
+
+def test_entropy_terms_count_every_eigenvalue_and_every_outcome():
+    # p S(block / p) has no floor: an eigenvalue of 1e-13 p adds its full
+    # -l log2(l / p), about 4.3e-12 p, and so does an outcome of probability 1e-12
+    for p in (1.0, 0.37):
+        small, large = 1e-13 * p, (1.0 - 1e-13) * p
+        q = small + large
+        exact = -small * math.log2(small / q) - large * math.log1p(-small / q) / math.log(2.0)
+        got = float(_entropy_terms(np.array(large), np.array(small), np.array(0.0)))
+        assert got == pytest.approx(exact, rel=0.0, abs=1e-14)
+    p = 1e-12
+    exact = -p * (0.3 * math.log2(0.3) + 0.7 * math.log2(0.7))
+    got = float(_entropy_terms(np.array(0.3 * p), np.array(0.7 * p), np.array(0.0)))
+    assert got == pytest.approx(exact, rel=1e-9)
+
+
+def test_report_mutual_information_matches_eigvalsh_entropies():
+    # the reduced-state entropies come from the 2x2 kernel, S_AB from the
+    # validated spectrum; von_neumann_entropy diagonalizes each one again
+    rng = np.random.default_rng(181)
+    for _ in range(1000):
+        rho = random_density_matrix(rng)
+        sa = von_neumann_entropy(partial_trace(rho, "A"))
+        sb = von_neumann_entropy(partial_trace(rho, "B"))
+        expected = sa + sb - von_neumann_entropy(rho)
+        assert correlation_report(rho).mutual_information == pytest.approx(expected, rel=0.0, abs=1e-12)

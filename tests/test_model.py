@@ -326,8 +326,10 @@ def test_milburn_finite_when_gaps_squared_overflow():
     steady[1, 2] = (p.beta / p.mu) * ((p.jx + p.jy) / p.mu) / 2.0
     steady[2, 1] = steady[1, 2].conjugate()
     # at gamma = 1e-300, t = 1e-30 the product gamma t / 2 underflows to 0,
-    # yet the damping (sqrt(gamma/2) sqrt(t) gap)^2 is about 4e70
-    for dp in (DecoherenceParams(p, 0.1, 1.0), DecoherenceParams(p, 1e-300, 1e-30)):
+    # yet the damping (sqrt(gamma/2) sqrt(t) gap)^2 is about 4e70; at
+    # gamma = 5e-324 even 0.5 * gamma is 0, and the damping is about 2e77
+    for dp in (DecoherenceParams(p, 0.1, 1.0), DecoherenceParams(p, 1e-300, 1e-30),
+               DecoherenceParams(p, 5e-324, 1.0)):
         assert np.abs(milburn_evolve(dp, bell) - steady).max() <= 1e-15
         assert np.abs(milburn_closed_form(dp) - steady).max() <= 1e-15
     for gamma in (0.0, 0.1):
@@ -337,3 +339,15 @@ def test_milburn_finite_when_gaps_squared_overflow():
         with pytest.raises(NumericFailure, match="energy gap times t overflows at t = 1e"):
             milburn_closed_form(dp)
 
+
+@pytest.mark.parametrize("params, scale", [
+    (ModelParams(1.0, 1.0, 1.0, 1e308), "mu = hypot(Jx+Jy, 2Dz)"),
+    (ModelParams(1e308, -1e308, 1.0, 1.0), "(Jz + (Jx-Jy))/2"),
+])
+def test_overflowing_energy_scale_is_named(params, scale):
+    for build in (lambda: hamiltonian_spectrum(params),
+                  lambda: thermal_state(ThermalPoint(params, 1.0)),
+                  lambda: milburn_closed_form(DecoherenceParams(params, 0.1, 0.0))):
+        with pytest.raises(NumericFailure) as info:
+            build()
+        assert str(info.value) == f"energy scale {scale} overflows"
