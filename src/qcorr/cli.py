@@ -38,7 +38,8 @@ from .sweep import (
 
 _MODE_BY_COMMAND = {"thermal": "thermal", "decohere": "decoherence"}
 
-_FLOAT_KEYS = ("jx", "jy", "jz", "dz", "gamma")
+_MODEL_KEYS = ("jx", "jy", "jz", "dz")
+_FLOAT_KEYS = _MODEL_KEYS + ("gamma",)
 _RANGE_KEYS = ("t-range", "time-range", "dz-range")
 _ALL_KEYS = ("mode", "preset", "out") + _FLOAT_KEYS + _RANGE_KEYS
 _VALUE_FLAGS = tuple(f"--{key}" for key in ("preset", "config", "out") + _FLOAT_KEYS + _RANGE_KEYS)
@@ -56,7 +57,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(command)
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--config", metavar="FILE")
-        for key in _FLOAT_KEYS:
+        for key in _FLOAT_KEYS if command == "decohere" else _MODEL_KEYS:
             p.add_argument(f"--{key}", type=float)
         for key in _RANGE_KEYS:
             p.add_argument(f"--{key}", metavar="a:b:s")
@@ -146,8 +147,10 @@ def build_config(merged: dict) -> SweepConfig:
     for key in _RANGE_KEYS:
         value = merged.get(key)
         ranges[key] = parse_range(str(value), f"--{key}") if value is not None else None
-    if mode == "thermal" and ranges["time-range"] is not None:
-        raise ConfigError("--time-range is not valid in thermal mode")
+    if mode == "thermal":
+        for key in ("time-range", "gamma"):
+            if merged.get(key) is not None:
+                raise ConfigError(f"--{key} is not valid in thermal mode")
     if mode == "decoherence" and ranges["t-range"] is not None:
         raise ConfigError("--t-range selects temperatures; use --time-range in decohere mode")
     return SweepConfig(

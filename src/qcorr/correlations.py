@@ -293,6 +293,7 @@ def correlation_report(rho: np.ndarray) -> CorrelationReport:
         (basis, smin), conc = _minimize_x(rho), _concurrence_x(rho)
     else:
         (basis, smin), conc = _minimize_grid(rho), _concurrence_checked(rho)
+    smin = max(smin, sab - sb)  # QD >= 0: a dip below it is round-off
     return CorrelationReport(
         concurrence=conc,
         mutual_information=sa + sb - sab,

@@ -18,10 +18,10 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.abs(m - m.conj().T).max() <= tol
+        np.abs(m - m.conj().T).max() <= HERMITIAN_TOL
     )
 
 

@@ -9,10 +9,11 @@ block on span{|00>,|11>} with eigenvalues (Jz +- (Jx-Jy))/2 and an inner
 block on span{|01>,|10>} with off-diagonal beta/2, beta = Jx+Jy+2i*Dz, and
 eigenvalues (-Jz +- mu)/2 where mu = |beta| = sqrt((Jx+Jy)^2 + 4 Dz^2).
 
-This module builds the spectrum from the two blocks, the Gibbs state
-exp(-H/T)/Z from the block closed forms, and the pure-dephasing evolution
-that damps every coherence between energy eigenstates |m>,|n> by
-exp(-(gamma t / 2)(Em - En)^2) while rotating it by exp(-i (Em - En) t).
+This module builds the spectrum from the two blocks, and both model states
+from that one eigenbasis: the Gibbs state exp(-H/T)/Z, and the
+pure-dephasing evolution that damps every coherence between energy
+eigenstates |m>,|n> by exp(-(gamma t / 2)(Em - En)^2) while rotating it by
+exp(-i (Em - En) t).
 Every state is built by one route; the dense Hamiltonian matrix and its
 eigendecomposition serve only as test oracles.
 
@@ -141,34 +142,19 @@ def hamiltonian_spectrum(p: ModelParams) -> SpectralDecomposition:
 
 
 def thermal_state(tp: ThermalPoint) -> np.ndarray:
-    """Gibbs state exp(-H/T)/Z from the analytic block elements.
+    """Gibbs state exp(-H/T)/Z in the eigenbasis of hamiltonian_spectrum.
 
-    Every element is a combination of exp(a_i/(2T)) terms; all exponents are
-    shifted by their maximum before exponentiation so the construction stays
-    finite at low temperature, and the matrix is normalized by its trace once.
-    The result is X-shaped by construction.
+    rho = V diag(w / sum w) V^dag with w = exp(-(E - E0)/T) and E0 the ground
+    level, so no exponent is positive and low temperatures stay finite; a gap
+    whose ratio to T overflows gets weight exactly 0.  V's exact zeros keep
+    the state X-shaped.
     """
-    p, t2 = tp.params, 2.0 * tp.temperature
-    mu = _block_levels(p)[0]
-    a1 = (p.jx - p.jy - p.jz) / t2
-    a2 = (p.jy - p.jx - p.jz) / t2
-    b1 = (p.jz + mu) / t2
-    b2 = (p.jz - mu) / t2
-    shift = max(a1, a2, b1, b2)
-    ea1, ea2, eb1, eb2 = (math.exp(a - shift) for a in (a1, a2, b1, b2))
-    u11 = 0.5 * (ea1 + ea2)
-    u41 = 0.5 * (-ea1 + ea2)
-    u22 = 0.5 * (eb1 + eb2)
-    sinh_term = 0.5 * (eb1 - eb2)
-    u23 = -(p.beta / mu) * sinh_term if mu > 0.0 else 0.0j
-    z = 2.0 * (u11 + u22)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = u11 / z
-    rho[0, 3] = rho[3, 0] = u41 / z
-    rho[1, 1] = rho[2, 2] = u22 / z
-    rho[1, 2] = u23 / z
-    rho[2, 1] = np.conj(u23) / z
-    return rho
+    dec = hamiltonian_spectrum(tp.params)
+    levels, v = dec.eigenvalues, dec.eigenvectors
+    with np.errstate(over="ignore"):  # an overflowing gap / T leaves a zero weight
+        w = np.exp(-(levels - levels[0]) / tp.temperature)
+    out = (v * (w / w.sum())) @ v.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def bell_initial_state() -> np.ndarray:
@@ -196,10 +182,10 @@ def milburn_evolve(dp: DecoherenceParams, rho0: np.ndarray) -> np.ndarray:
     gaps = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
     rate = 0.5 * dp.gamma * dp.time
     with np.errstate(over="ignore"):  # an overflowing damping leaves a zero coherence
-        if rate > 0.0:
+        if 0.0 < rate < math.inf:
             damping = rate * gaps**2
-        else:  # gamma t = 0, or gamma t / 2 underflows: no 0 * inf from gaps**2, and
-            # no 0.5 * gamma, which is 0 at gamma = 5e-324
+        else:  # gamma t = 0, or gamma t / 2 under- or overflows: no 0 * inf on the
+            # gaps, and no 0.5 * gamma, which is 0 at gamma = 5e-324
             damping = 0.5 * (math.sqrt(dp.gamma) * math.sqrt(dp.time) * gaps) ** 2
         phases = gaps * dp.time
     if not np.isfinite(phases).all():

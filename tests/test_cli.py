@@ -83,6 +83,15 @@ def test_parse_config_file_unknown_key(tmp_path):
         parse_config(["thermal", "--config", str(path)])
 
 
+def test_parse_rejects_gamma_in_thermal_mode(tmp_path):
+    with pytest.raises(ConfigError, match="unrecognized arguments: --gamma=-5"):
+        parse_config(["thermal", "--preset", "fig1", "--gamma", "-5", "--out", "x.csv"])
+    path = tmp_path / "run.ini"
+    path.write_text("gamma = 0.1\n")
+    with pytest.raises(ConfigError, match="--gamma is not valid in thermal mode"):
+        parse_config(["thermal", "--preset", "fig1", "--config", str(path), "--out", "x.csv"])
+
+
 def test_main_thermal_end_to_end(tmp_path, capsys):
     out = tmp_path / "thermal.csv"
     code = main(
@@ -237,6 +246,28 @@ def test_main_decohere_at_huge_couplings(tmp_path):
     overflow = _run_cli(huge + ["--time-range", "1e200:1e200:1", "--out", "x.csv"], tmp_path)
     assert overflow.returncode == 3
     assert overflow.stderr == "qcorr: numeric failure: energy gap times t overflows at t = 1e+200\n"
+
+    # gamma t / 2 overflows at gamma = 1e308, t = 1e10: the same steady state
+    args = ["decohere", "--jx", "1e200", "--jy", "1e200", "--dz", "1e200", "--gamma", "1e308",
+            "--time-range", "1e10:1e10:1", "--out", "x.csv"]
+    done = _run_cli(args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr
+    rows = [line.split(",") for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
+    assert [row[:6] for row in rows] == [
+        ["1e+200", "10000000000", "0.707106781187", "1", "0.399123963307", "1.39912396331"]]
+    assert float(rows[0][6]) <= 1e-15
+
+
+def test_main_thermal_when_gap_over_t_overflows(tmp_path):
+    # (Jz + mu) / 2T overflows at Dz = 1e307, T = 0.01: the excited levels get
+    # weight 0, and the state is the ground Bell state
+    args = ["thermal", "--jx", "1", "--jy", "1", "--jz", "1", "--dz", "1e307",
+            "--t-range", "0.01:0.01:1", "--out", "x.csv"]
+    done = _run_cli(args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr
+    assert (tmp_path / "x.csv").read_text().splitlines() == ["dz,T,C,CC,QD,I", "1e+307,0.01,1,1,1,2"]
 
 
 def test_main_decohere_when_gamma_t_underflows(tmp_path):

@@ -328,6 +328,13 @@ def test_classical_correlation_trivial_states():
     assert correlation_report(rho).classical_correlation == pytest.approx(0.0, abs=1e-9)
 
 
+def test_maximally_mixed_state_has_no_correlation():
+    # the landscape is flat; a 1-ulp dip of the search may not make QD negative
+    rep = correlation_report(np.eye(4, dtype=complex) / 4.0)
+    assert rep.classical_correlation == 0.0
+    assert rep.quantum_discord == 0.0
+
+
 def test_quantum_discord_trivial_states():
     assert correlation_report(bell_initial_state()).quantum_discord == pytest.approx(1.0, abs=1e-9)
     rng = np.random.default_rng(157)

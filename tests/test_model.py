@@ -88,6 +88,19 @@ def test_thermal_state_against_expm_oracle():
     assert np.abs(rho - ref).max() <= 1e-10
 
 
+def test_gibbs_coherence_identity_against_expm_oracle():
+    # rho23 = -(beta/mu) e^{Jz/2T} sinh(mu/2T) / Z, sign included, with
+    # Z = 2 e^{-Jz/2T} cosh((Jx-Jy)/2T) + 2 e^{Jz/2T} cosh(mu/2T)
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        p = random_params(rng)
+        t = float(rng.uniform(0.1, 2.0))
+        a, b = p.jz / (2.0 * t), p.mu / (2.0 * t)
+        z = 2.0 * np.exp(-a) * np.cosh((p.jx - p.jy) / (2.0 * t)) + 2.0 * np.exp(a) * np.cosh(b)
+        rho23 = -(p.beta / p.mu) * np.exp(a) * np.sinh(b) / z
+        assert abs(thermal_oracle(readme_hamiltonian(p), t)[1, 2] - rho23) <= 1e-12
+
+
 def test_thermal_state_random_params_vs_oracle():
     rng = np.random.default_rng(37)
     for _ in range(60):
@@ -109,9 +122,15 @@ def test_thermal_state_closed_form_matches_spectral():
 
 
 def test_thermal_state_low_temperature_is_finite():
-    rho = thermal_state(ThermalPoint(ModelParams(0.2, 0.4, 0.8, 3.0), 0.01))
-    assert np.isfinite(rho).all()
-    assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
+    # at Dz = 1e307, T = 0.01 and at T = 1e-310 every gap / T overflows and
+    # each excited level gets weight 0; all three states are the ground projector
+    for p, t in ((ModelParams(0.2, 0.4, 0.8, 3.0), 0.01), (ModelParams(1.0, 1.0, 1.0, 1e307), 0.01),
+                 (FIG1_PARAMS, 1e-310)):
+        rho = thermal_state(ThermalPoint(p, t))
+        assert np.isfinite(rho).all()
+        assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
+        ground = hamiltonian_spectrum(p).eigenvectors[:, 0]
+        assert np.abs(rho - np.outer(ground, ground.conj())).max() <= 1e-15
 
 
 def test_thermal_state_x_shape_and_pairs():
@@ -327,9 +346,10 @@ def test_milburn_finite_when_gaps_squared_overflow():
     steady[2, 1] = steady[1, 2].conjugate()
     # at gamma = 1e-300, t = 1e-30 the product gamma t / 2 underflows to 0,
     # yet the damping (sqrt(gamma/2) sqrt(t) gap)^2 is about 4e70; at
-    # gamma = 5e-324 even 0.5 * gamma is 0, and the damping is about 2e77
+    # gamma = 5e-324 even 0.5 * gamma is 0, and the damping is about 2e77; at
+    # gamma = 1e308, t = 1e10 the product gamma t / 2 itself overflows
     for dp in (DecoherenceParams(p, 0.1, 1.0), DecoherenceParams(p, 1e-300, 1e-30),
-               DecoherenceParams(p, 5e-324, 1.0)):
+               DecoherenceParams(p, 5e-324, 1.0), DecoherenceParams(p, 1e308, 1e10)):
         assert np.abs(milburn_evolve(dp, bell) - steady).max() <= 1e-15
         assert np.abs(milburn_closed_form(dp) - steady).max() <= 1e-15
     for gamma in (0.0, 0.1):
