@@ -3,14 +3,17 @@
 ``correlation_report`` is the one route to the four measures of a state,
 all in bits except the concurrence:
 
-* concurrence C, from the square-rooted eigenvalues of the spin-flipped
-  operator rho (sy.sy) rho* (sy.sy), sorted descending:
-  C = max(l1 - l2 - l3 - l4, 0);
+* concurrence C = max(l1 - l2 - l3 - l4, 0), where l1 >= ... >= l4 are the
+  Wootters values, the square roots of the eigenvalues of
+  rho (sy.sy) rho* (sy.sy).  With rho = X X^dag and X = V sqrt(Lambda) from
+  the state's eigendecomposition, they are the singular values of
+  X^T (sy.sy) X (Uhlmann, PRA 62, 032307 (2000)), so no eigenvalue near
+  zero is square-rooted and one route is exact for every state;
 * quantum mutual information I = S(rho_A) + S(rho_B) - S(rho_AB);
 * classical correlation CC = S(rho_A) - S_min, where S_min is the measured
   conditional entropy sum_k p_k S(rho_k) minimized over all rank-1
   projective measurements on qubit B;
-* quantum discord QD = S(rho_B) - S(rho_AB) + S_min.
+* quantum discord QD = I - CC = S(rho_B) - S(rho_AB) + S_min.
 
 The measurement family is B_k = V |k><k| V^dag with
 
@@ -23,11 +26,12 @@ outcomes swapped, so the coarse grid covers theta in [0, pi/4] only (33
 points, ``GRID_THETA``); the refinement clips theta to [0, pi/2], so it may
 cross pi/4.
 
-Two evaluators share one search schedule.  An X-shaped state (every entry
-off the diagonal and anti-diagonal at most ``X_SHAPE_TOL``) is measured at
-the phase phi* = (arg rho23 - arg rho14)/2, which is optimal for every theta
-(Chen, Zhang, Yu, Yi & Oh, PRA 84, 042313 (2011)), so its search is the
-theta line alone: every discrete local minimum of the coarse line is
+Two evaluators share one search schedule, and ``_minimize`` picks between
+them; nothing else depends on the shape of the state.  An X-shaped state
+(every entry off the diagonal and anti-diagonal at most ``X_SHAPE_TOL``) is
+measured at the phase phi* = (arg rho23 - arg rho14)/2, which is optimal for
+every theta (Chen, Zhang, Yu, Yi & Oh, PRA 84, 042313 (2011)), so its search
+is the theta line alone: every discrete local minimum of the coarse line is
 refined on shrinking 17-point stencils, all of them in one batched call per
 round.  Any other state is searched over the 33 x 128 (theta, phi) grid,
 whose minimum is refined on shrinking 17 x 17 stencils with phi periodic
@@ -39,12 +43,10 @@ Everything here is pure and deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailure
 from .linalg import validate_two_qubit_state, validated_spectrum
 from .linalg import _reduced_state, _spectrum_entropy, _xlog2x
 
@@ -91,20 +93,15 @@ class CorrelationReport:
 
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density matrix, in [0, 1]."""
-    rho = validate_two_qubit_state(rho)
-    return _concurrence_checked(rho)
+    _, lam, vecs = validated_spectrum(rho)
+    return _concurrence(lam, vecs)
 
 
-def _concurrence_checked(rho: np.ndarray) -> float:
-    flipped = _Y4 @ rho.conj() @ _Y4
-    ev = np.linalg.eigvals(rho @ flipped).real
-    if ev.min() < -1e-9:
-        raise NumericFailure(
-            f"spin-flip operator eigenvalue {ev.min():.3e} below -1e-9"
-        )
-    lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
-    c = float(lam[0] - lam[1] - lam[2] - lam[3])
-    return min(max(c, 0.0), 1.0)
+def _concurrence(lam: np.ndarray, vecs: np.ndarray) -> float:
+    """Concurrence from the state's eigenvalues and eigenvectors (module docstring)."""
+    x = vecs * np.sqrt(np.maximum(lam, 0.0))
+    sv = np.linalg.svd(x.T @ _Y4 @ x, compute_uv=False)  # descending
+    return min(max(float(sv[0] - sv[1] - sv[2] - sv[3]), 0.0), 1.0)
 
 
 _OFF_X = [(i, j) for i in range(4) for j in range(4)
@@ -113,28 +110,6 @@ _OFF_X = [(i, j) for i in range(4) for j in range(4)
 
 def _off_x_spill(rho: np.ndarray) -> float:
     return max(abs(rho[i, j]) for i, j in _OFF_X)
-
-
-def _concurrence_x(rho: np.ndarray) -> float:
-    d = np.clip(rho.diagonal().real, 0.0, None)
-    c = 2.0 * max(
-        0.0,
-        abs(rho[1, 2]) - math.sqrt(d[0] * d[3]),
-        abs(rho[0, 3]) - math.sqrt(d[1] * d[2]),
-    )
-    return min(float(c), 1.0)
-
-
-def concurrence_x_state(rho: np.ndarray) -> float:
-    """Concurrence of an X-shaped state: 2 max(0, |r23|-sqrt(r11 r44), |r14|-sqrt(r22 r33)).
-
-    Raises ValueError when any entry off the diagonal and anti-diagonal
-    exceeds 1e-10.
-    """
-    rho = validate_two_qubit_state(rho)
-    if _off_x_spill(rho) > X_SHAPE_TOL:
-        raise ValueError("state is not X-shaped within 1e-10")
-    return _concurrence_x(rho)
 
 
 def _entropy_terms(n00, n11, n01_sq) -> np.ndarray:
@@ -220,7 +195,11 @@ def minimize_conditional_entropy(rho: np.ndarray):
     strictly lower, so the value never exceeds any coarse sample of its
     route.
     """
-    rho = validate_two_qubit_state(rho)
+    return _minimize(validate_two_qubit_state(rho))
+
+
+def _minimize(rho: np.ndarray):
+    """The theta-line search for an X-shaped state, the (theta, phi) grid for any other."""
     return _minimize_x(rho) if _off_x_spill(rho) <= X_SHAPE_TOL else _minimize_grid(rho)
 
 
@@ -278,26 +257,27 @@ def _minimize_grid(rho: np.ndarray):
 
 
 def correlation_report(rho: np.ndarray) -> CorrelationReport:
-    """All four measures of one state, sharing a single basis minimization.
+    """All four measures of one state, from one eigendecomposition and one basis search.
 
-    X-shaped states take the theta-line discord search and the exact
-    algebraic concurrence route; the general spin-flip route square-roots
-    near-zero eigenvalues and carries a noise floor around
-    sqrt(machine epsilon).
+    The concurrence takes the singular-value route for every state; only
+    the discord search depends on the state's shape (``_minimize``).
+    0 <= CC <= I and 0 <= QD <= I hold exactly: I >= 0 is subadditivity,
+    CC >= 0 holds because no measurement leaves more conditional entropy
+    than S(rho_A) (concavity), and CC <= I is QD >= 0, so each clip only
+    removes round-off.  A search that stops above the true minimum still
+    shows as too low a CC.
     """
-    rho, lam = validated_spectrum(rho)
+    rho, lam, vecs = validated_spectrum(rho)
     r = np.stack((_reduced_state(rho, "A"), _reduced_state(rho, "B")))
     sa, sb = _entropy_terms(r[:, 0, 0].real, r[:, 1, 1].real, np.abs(r[:, 0, 1]) ** 2).tolist()
     sab = _spectrum_entropy(lam)
-    if _off_x_spill(rho) <= X_SHAPE_TOL:
-        (basis, smin), conc = _minimize_x(rho), _concurrence_x(rho)
-    else:
-        (basis, smin), conc = _minimize_grid(rho), _concurrence_checked(rho)
-    smin = max(smin, sab - sb)  # QD >= 0: a dip below it is round-off
+    basis, smin = _minimize(rho)
+    info = max(sa + sb - sab, 0.0)
+    cc = min(max(sa - smin, 0.0), info)
     return CorrelationReport(
-        concurrence=conc,
-        mutual_information=sa + sb - sab,
-        classical_correlation=sa - smin,
-        quantum_discord=sb - sab + smin,
+        concurrence=_concurrence(lam, vecs),
+        mutual_information=info,
+        classical_correlation=cc,
+        quantum_discord=info - cc,
         argmin_basis=basis,
     )

@@ -40,17 +40,17 @@ def validate_two_qubit_state(rho: np.ndarray) -> np.ndarray:
 
 
 def validated_spectrum(rho: np.ndarray):
-    """(rho, ascending eigenvalues) after the checks of validate_two_qubit_state."""
+    """(rho, ascending eigenvalues, eigenvector columns), checked as by validate_two_qubit_state."""
     rho = _as_square(rho, dims=(4,))
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian within 1e-12")
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-12")
-    lam = np.linalg.eigvalsh(rho)
+    lam, vecs = np.linalg.eigh(rho)
     if lam[0] < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lam[0]:.3e}")
-    return rho, lam
+    return rho, lam, vecs
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:

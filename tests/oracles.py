@@ -183,6 +183,31 @@ def x_state_min_conditional_entropy(rho, n_theta=100001):
     return float(x_state_conditional_entropy(rho, np.linspace(0.0, np.pi / 2.0, n_theta)).min())
 
 
+def x_state_concurrence(rho):
+    """X-state concurrence 2 max(0, |rho23| - sqrt(rho11 rho44), |rho14| - sqrt(rho22 rho33)).
+
+    The algebraic form of Wootters' formula for a state whose only nonzero
+    entries lie on the diagonal and the anti-diagonal (Yu & Eberly, Quantum
+    Inf. Comput. 7, 459 (2007)); it reads only those entries.
+    """
+    d = np.clip(np.asarray(rho).diagonal().real, 0.0, None)
+    c = 2.0 * max(0.0, abs(rho[1, 2]) - np.sqrt(d[0] * d[3]), abs(rho[0, 3]) - np.sqrt(d[1] * d[2]))
+    return min(float(c), 1.0)
+
+
+def spin_flip_concurrence(rho):
+    """Wootters' textbook route: the square roots of the eigenvalues of rho (sy.sy) rho* (sy.sy).
+
+    The operator is not Hermitian, so its eigenvalues come from the general
+    eigensolver; near-zero ones are square-rooted, which leaves a noise
+    floor around sqrt(machine epsilon) on rank-deficient states.
+    """
+    yy = np.kron(SY, SY)
+    ev = np.linalg.eigvals(rho @ yy @ np.asarray(rho).conj() @ yy).real
+    lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
+    return min(max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0), 1.0)
+
+
 def bell_diagonal_state(c1, c2, c3):
     return 0.25 * (
         np.eye(4, dtype=complex)
@@ -349,6 +374,16 @@ def random_x_state(rng):
     rho[0, 3], rho[3, 0] = r14, r14.conjugate()
     rho[1, 2], rho[2, 1] = r23, r23.conjugate()
     return rho
+
+
+def random_rank2_x_state(rng):
+    """A random rank-2 X state, a mixture of a|00> + b|11> and c|01> + d|10> (complex a, b, c, d)."""
+    v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    even = np.array([v[0, 0], 0.0, 0.0, v[0, 1]])
+    odd = np.array([0.0, v[1, 0], v[1, 1], 0.0])
+    w = rng.random()
+    return w * np.outer(even, even.conj()) + (1.0 - w) * np.outer(odd, odd.conj())
 
 
 def random_hermitian(rng, dim=4, scale=1.0):

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from qcorr.cli import build_config
-from qcorr.correlations import concurrence, concurrence_x_state, correlation_report
+from qcorr.correlations import concurrence, correlation_report
 from qcorr.linalg import partial_trace, von_neumann_entropy
 from qcorr.model import (
     DecoherenceParams,
@@ -39,9 +39,11 @@ from oracles import (
     random_density_matrix,
     random_x_state,
     readme_hamiltonian,
+    spin_flip_concurrence,
     thermal_oracle,
     unitary_evolution_oracle,
     werner_state,
+    x_state_concurrence,
 )
 
 FIG1 = ModelParams(0.2, 0.4, 0.8, 0.0)
@@ -155,16 +157,22 @@ def test_criterion_3_closed_form_audit():
 
 
 def test_criterion_4_concurrence_routes():
+    # production against the algebraic X formula and the textbook spin-flip route
     rng = np.random.default_rng(4084)
     worst = 0.0
     for _ in range(1000):
         rho = random_x_state(rng)
-        worst = max(worst, abs(concurrence_x_state(rho) - concurrence(rho)))
+        worst = max(worst, abs(x_state_concurrence(rho) - concurrence(rho)))
+    worst_full = 0.0
+    for _ in range(1000):
+        rho = random_density_matrix(rng)
+        worst_full = max(worst_full, abs(spin_flip_concurrence(rho) - concurrence(rho)))
     werner = abs(concurrence(werner_state(0.5)) - 0.25)
     _verdict(
         "criterion 4",
-        worst <= 1e-10 and werner <= 1e-10,
-        f"1000 X states, route disagreement {worst:.3e} (<= 1e-10); "
+        worst <= 1e-10 and worst_full <= 1e-10 and werner <= 1e-10,
+        f"1000 X states, disagreement with the X formula {worst:.3e} (<= 1e-10); "
+        f"1000 full-rank states, spin-flip route disagreement {worst_full:.3e} (<= 1e-10); "
         f"Werner p=0.5 error {werner:.3e} (<= 1e-10)",
     )
 
@@ -406,7 +414,7 @@ def test_criterion_8_steady_state_concurrence():
         gamma = 0.1
         t = 2.0 * 40.0 / (gamma * p.mu**2)  # gamma mu^2 t / 2 = 40
         rho = milburn_evolve(DecoherenceParams(p, gamma, t), bell_initial_state())
-        results[dz] = (concurrence_x_state(rho), (p.jx + p.jy) / p.mu)
+        results[dz] = (concurrence(rho), (p.jx + p.jy) / p.mu)
     ok = all(abs(c - target) <= 1e-3 for c, target in results.values())
     ordered = results[0.3][0] < results[0.1][0]
     detail = [

@@ -270,6 +270,16 @@ def test_main_thermal_when_gap_over_t_overflows(tmp_path):
     assert (tmp_path / "x.csv").read_text().splitlines() == ["dz,T,C,CC,QD,I", "1e+307,0.01,1,1,1,2"]
 
 
+def test_main_thermal_at_huge_temperature(tmp_path):
+    # at T = 1e308 the state is I/4 up to round-off, and no measure dips below 0
+    args = ["thermal", "--preset", "fig1", "--dz-range", "0:0:1", "--t-range", "1e308:1e308:1",
+            "--out", "x.csv"]
+    done = _run_cli(args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr
+    assert (tmp_path / "x.csv").read_text().splitlines()[1:] == ["0,1e+308,0,0,0,0"]
+
+
 def test_main_decohere_when_gamma_t_underflows(tmp_path):
     # gamma * t / 2 underflows to 0 while the gaps squared overflow; the true
     # damping (about 4e70) leaves the same steady state as at t = 1 above.

@@ -7,7 +7,6 @@ from qcorr.correlations import (
     MeasurementBasis,
     _entropy_terms,
     concurrence,
-    concurrence_x_state,
     conditional_entropy,
     correlation_report,
     minimize_conditional_entropy,
@@ -29,9 +28,12 @@ from oracles import (
     explicit_conditional_entropy,
     random_bell_diagonal,
     random_density_matrix,
+    random_rank2_x_state,
     random_unitary,
     random_x_state,
+    spin_flip_concurrence,
     werner_state,
+    x_state_concurrence,
     x_state_conditional_entropy,
     x_state_min_conditional_entropy,
     x_state_phase,
@@ -74,11 +76,17 @@ def test_concurrence_local_unitary_invariance():
 
 
 def test_concurrence_x_state_bell():
-    assert concurrence_x_state(bell_initial_state()) == pytest.approx(1.0, abs=1e-12)
+    assert x_state_concurrence(bell_initial_state()) == pytest.approx(1.0, abs=1e-12)
+    assert correlation_report(bell_initial_state()).concurrence == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concurrence_x_state_diagonal():
-    assert concurrence_x_state(np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)) == 0.0
+    rng = np.random.default_rng(109)
+    for d in (np.full(4, 0.25), rng.dirichlet(np.ones(4))):
+        rho = np.diag(d).astype(complex)
+        assert x_state_concurrence(rho) == 0.0
+        assert concurrence(rho) == 0.0
+        assert correlation_report(rho).concurrence == 0.0
 
 
 def test_concurrence_x_state_dephased_bell_limit():
@@ -89,21 +97,32 @@ def test_concurrence_x_state_dephased_bell_limit():
     rho[1, 2] = p.beta * (p.jx + p.jy) / (2.0 * p.mu**2)
     rho[2, 1] = rho[1, 2].conjugate()
     expected = 3.6 / np.sqrt(13.0)
-    assert concurrence_x_state(rho) == pytest.approx(expected, abs=1e-12)
-    assert concurrence(rho) == pytest.approx(expected, abs=1e-10)
+    assert x_state_concurrence(rho) == pytest.approx(expected, abs=1e-12)
+    assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
+    assert correlation_report(rho).concurrence == pytest.approx(expected, abs=1e-12)
 
 
 def test_concurrence_x_state_matches_general_route():
     rng = np.random.default_rng(103)
     for _ in range(1000):
         rho = random_x_state(rng)
-        assert concurrence_x_state(rho) == pytest.approx(concurrence(rho), abs=1e-10)
+        assert concurrence(rho) == pytest.approx(x_state_concurrence(rho), abs=1e-12)
+        assert concurrence(rho) == pytest.approx(spin_flip_concurrence(rho), abs=1e-10)
 
 
-def test_concurrence_x_state_rejects_non_x():
+def test_concurrence_exact_on_rotated_rank2_x_states():
+    # a local rotation keeps C but spills the X shape; the state's two zero
+    # Wootters values are singular values here, never square-rooted round-off
     rng = np.random.default_rng(107)
-    with pytest.raises(ValueError):
-        concurrence_x_state(random_density_matrix(rng))
+    for i in range(200):
+        rho = random_rank2_x_state(rng)
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rotated = u @ rho @ u.conj().T
+        rotated = 0.5 * (rotated + rotated.conj().T)
+        expected = x_state_concurrence(rho)
+        assert abs(concurrence(rotated) - expected) <= 1e-12
+        if i % 4 == 0:
+            assert abs(correlation_report(rotated).concurrence - expected) <= 1e-12
 
 
 def test_mutual_information_trivial_states():
@@ -392,11 +411,11 @@ def test_report_nonnegative_on_random_states():
     rng = np.random.default_rng(173)
     for _ in range(1000):
         rep = correlation_report(random_density_matrix(rng))
-        assert rep.quantum_discord >= -1e-9
-        assert rep.classical_correlation >= -1e-9
-        assert rep.mutual_information >= -1e-9
+        assert rep.quantum_discord >= 0.0
+        assert rep.classical_correlation >= 0.0
+        assert rep.mutual_information >= 0.0
         assert 0.0 <= rep.concurrence <= 1.0
-        assert type(rep.concurrence) is float  # general spin-flip route
+        assert type(rep.concurrence) is float
 
 
 def test_report_additivity_on_model_states():

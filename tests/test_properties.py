@@ -8,7 +8,8 @@
   dephased state.
 * Entropy bounds on Gibbs, dephased and random states: CC <= min(S_A, S_B)
   (Henderson and Vedral, J. Phys. A 34, 6899 (2001)) and QD <= S_B, with B
-  the measured qubit.
+  the measured qubit.  0 <= CC <= I and 0 <= QD <= I hold with no tolerance,
+  on Gibbs states up to T = 1e308 too.
 * When the Dz = 0 ground state lies in the inner (odd-parity) block, C, CC
   and I of the Gibbs state do not fall as |Dz| grows; QD may (README,
   "Where Dz helps and where it hurts").
@@ -44,6 +45,7 @@ MONOTONE_TOL = 1e-9
 coupling = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 params = st.builds(ModelParams, coupling, coupling, coupling, coupling)
 temperature = st.floats(0.05, 3.0)
+any_temperature = st.floats(1e-2, 1e308)
 gamma = st.floats(0.0, 0.5)
 time = st.floats(0.0, 10.0)
 scale = st.floats(1e-3, 1e6)
@@ -128,6 +130,15 @@ def test_classical_correlation_below_both_local_entropies(rho):
 @given(states)
 def test_discord_below_measured_qubit_entropy(rho):
     assert correlation_report(rho).quantum_discord <= _local_entropies(rho)[1] + BOUND_TOL
+
+
+@bounds
+@given(params, any_temperature)
+def test_gibbs_correlations_lie_between_zero_and_mutual_information(p, t):
+    rep = correlation_report(thermal_state(ThermalPoint(p, t)))
+    info = rep.mutual_information
+    assert 0.0 <= rep.classical_correlation <= info
+    assert 0.0 <= rep.quantum_discord <= info
 
 
 @settings(common, max_examples=60)
