@@ -21,22 +21,32 @@ The measurement family is B_k = V |k><k| V^dag with
         ( exp(i phi) sin(theta)  -cos(theta)             )
 
 and theta in [0, pi/2], phi in [0, 2*pi) covering every direction on the
-Bloch sphere.  (pi/2 - theta, phi + pi) is the same measurement with its
-outcomes swapped, so the coarse grid covers theta in [0, pi/4] only (33
-points, ``GRID_THETA``); the refinement clips theta to [0, pi/2], so it may
-cross pi/4.
+Bloch sphere: B_0 = (1 + n.sigma)/2 with
+n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta), and B_1 is the
+same with -n.  The block of qubit A left by outcome n,
+M(n) = tr_B[rho (1 x (1 + n.sigma)/2)], is affine in n (Luo, PRA 77,
+042303 (2008)), so one evaluator serves every search: the real 4x4 map g
+of the state (``_bloch_map``) takes (1, n) to the entries of M(n) and
+(1, -n) to those of M(-n).  (pi/2 - theta, phi + pi) is -n, the same
+measurement with its outcomes swapped, so the coarse grid covers theta in
+[0, pi/4] only (33 points, ``GRID_THETA``); the refinement clips theta to
+[0, pi/2], so it may cross pi/4.
 
-Two evaluators share one search schedule, and ``_minimize`` picks between
-them; nothing else depends on the shape of the state.  An X-shaped state
-(every entry off the diagonal and anti-diagonal at most ``X_SHAPE_TOL``) is
-measured at the phase phi* = (arg rho23 - arg rho14)/2, which is optimal for
-every theta (Chen, Zhang, Yu, Yi & Oh, PRA 84, 042313 (2011)), so its search
-is the theta line alone: every discrete local minimum of the coarse line is
-refined on shrinking 17-point stencils, all of them in one batched call per
-round.  Any other state is searched over the 33 x 128 (theta, phi) grid,
-whose minimum is refined on shrinking 17 x 17 stencils with phi periodic
-(so it wraps through phi = 0).  Ties resolve to the smallest theta, then
-phi.
+Two schedules call the evaluator, and ``_minimize`` picks between them;
+nothing else depends on the shape of the state.  An X-shaped state (every
+entry off the diagonal and anti-diagonal at most ``X_SHAPE_TOL``) is
+measured at the phase phi* = (arg rho23 - arg rho14)/2, which is optimal
+for every theta (Chen, Zhang, Yu, Yi & Oh, PRA 84, 042313 (2011)): phi
+leaves the diagonals of M(+-n) unchanged, and phi* gives their common
+off-diagonal modulus |cos(theta) sin(theta) (e^{i phi} rho14 +
+e^{-i phi} rho23)| its largest value, which spreads each block's
+eigenvalues furthest and so lowers both entropies.  Its search is the
+theta line alone: every discrete local minimum of the coarse line is
+refined on shrinking 17-point stencils, all of them in one batched call
+per round.  Any other state is searched over the 33 x 128
+(theta, phi) grid, whose minimum is refined on shrinking 17 x 17 stencils
+with phi periodic (so it wraps through phi = 0).  Ties resolve to the
+smallest theta, then phi.
 
 Everything here is pure and deterministic.
 """
@@ -122,71 +132,55 @@ def _entropy_terms(n00, n11, n01_sq) -> np.ndarray:
     """
     p = n00 + n11
     disc = np.sqrt((n00 - n11) ** 2 + 4.0 * n01_sq)
-    out = _xlog2x(p) - _xlog2x(0.5 * (p + disc)) - _xlog2x(0.5 * (p - disc))
-    return np.maximum(out, 0.0)
+    x = _xlog2x(np.stack((p, 0.5 * (p + disc), 0.5 * (p - disc))))
+    return np.maximum(x[0] - x[1] - x[2], 0.0)
 
 
-def _basis_trig(thetas, phis):
-    """cos^2, sin^2 and cos sin e^{i phi}, a theta column broadcast against a phi row."""
-    ct, st = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
-    return ct * ct, st * st, ct * st * np.exp(1j * phis)
+# 1, sigma_x, sigma_y, sigma_z
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.setflags(write=False)
 
 
-# trigonometry of the fixed coarse grid, shared by every minimization
-_GRID_TRIG = _basis_trig(GRID_THETA, GRID_PHI)
+def _bloch_map(rho: np.ndarray) -> np.ndarray:
+    """Real 4x4 g with (n00, n11, Re n01, Im n01) = g @ (1, n) for the block M(n).
 
-
-def _conditional_entropy_from_trig(r4, c2, s2, z) -> np.ndarray:
-    """Conditional entropy given precomputed cos^2, sin^2 and cos sin e^{i phi}.
-
-    r4 is the density matrix reshaped to (2, 2, 2, 2) with axes (a, b, a', b').
-    The conditioned block for outcome 0 is a linear combination of the four
-    fixed (b, b') blocks of r4 with those coefficients; outcome 1 follows
-    from completeness as rho_A minus the outcome-0 block.
+    M(n) = tr_B[rho (1 x (1 + n.sigma)/2)] is the unnormalised state of
+    qubit A after outcome n of a measurement on B, affine in the Bloch
+    vector n; column mu of g holds the entries of tr_B[rho (1 x sigma_mu)] / 2.
     """
-    zc = z.conj()
-    n00 = c2 * r4[0, 0, 0, 0] + z * r4[0, 0, 0, 1] + zc * r4[0, 1, 0, 0] + s2 * r4[0, 1, 0, 1]
-    n11 = c2 * r4[1, 0, 1, 0] + z * r4[1, 0, 1, 1] + zc * r4[1, 1, 1, 0] + s2 * r4[1, 1, 1, 1]
-    n01 = c2 * r4[0, 0, 1, 0] + z * r4[0, 0, 1, 1] + zc * r4[0, 1, 1, 0] + s2 * r4[0, 1, 1, 1]
-
-    ra00 = (r4[0, 0, 0, 0] + r4[0, 1, 0, 1]).real
-    ra11 = (r4[1, 0, 1, 0] + r4[1, 1, 1, 1]).real
-    ra01 = r4[0, 0, 1, 0] + r4[0, 1, 1, 1]
-
-    total = _entropy_terms(n00.real, n11.real, n01.real**2 + n01.imag**2)
-    m01 = ra01 - n01
-    total += _entropy_terms(ra00 - n00.real, ra11 - n11.real, m01.real**2 + m01.imag**2)
-    return total
+    t = 0.5 * np.einsum("abcd,mdb->mac", rho.reshape(2, 2, 2, 2), _PAULI)
+    return np.stack((t[:, 0, 0].real, t[:, 1, 1].real, t[:, 0, 1].real, t[:, 0, 1].imag))
 
 
-def _x_conditional_entropy(d, k, thetas) -> np.ndarray:
-    """Conditional entropy of an X state at each theta, measured at phi*.
+def _conditional_entropy(g: np.ndarray, thetas, phis) -> np.ndarray:
+    """Measured conditional entropy at each (theta, phi), theta and phi broadcast together.
 
-    d is the real diagonal (rho11, rho22, rho33, rho44) and k = |rho14| + |rho23|.
-    At phi* the outcome-0 block is [[c2 d0 + s2 d1, cs k], [cs k, c2 d2 + s2 d3]]
-    with c2 = cos^2(theta), s2 = sin^2(theta), cs = cos(theta) sin(theta).
-    Outcome 1 is outcome 0 at pi/2 - theta (c2 and s2 swapped), so both
-    outcomes stack on a leading axis through one ``_entropy_terms`` call.
+    Outcome 0 of the basis is the Bloch vector
+    n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta) and outcome 1
+    is -n; both rows (1, +-n) go through g in one product.
     """
-    c, s = np.cos(thetas), np.sin(thetas)
-    c2, s2 = c * c, s * s
-    a, b = np.stack((c2, s2)), np.stack((s2, c2))
-    off = c * s * k
-    terms = _entropy_terms(a * d[0] + b * d[1], a * d[2] + b * d[3], off * off)
+    s = np.sin(2.0 * thetas)
+    u = np.empty((2, *np.broadcast(thetas, phis).shape, 4))
+    u[..., 0] = 1.0
+    u[0, ..., 1] = s * np.cos(phis)
+    u[0, ..., 2] = s * np.sin(phis)
+    u[0, ..., 3] = np.cos(2.0 * thetas)
+    u[1, ..., 1:] = -u[0, ..., 1:]
+    m = u @ g.T
+    terms = _entropy_terms(m[..., 0], m[..., 1], m[..., 2] ** 2 + m[..., 3] ** 2)
     return terms[0] + terms[1]
 
 
 def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
     """sum_k p_k S(rho_k) for the projective measurement of ``basis`` on qubit B."""
-    rho = validate_two_qubit_state(rho)
-    trig = _basis_trig(np.array([basis.theta]), np.array([basis.phi]))
-    return float(_conditional_entropy_from_trig(rho.reshape(2, 2, 2, 2), *trig)[0, 0])
+    g = _bloch_map(validate_two_qubit_state(rho))
+    return float(_conditional_entropy(g, basis.theta, basis.phi))
 
 
 def minimize_conditional_entropy(rho: np.ndarray):
     """Global minimum of the measured conditional entropy over (theta, phi).
 
-    Returns (MeasurementBasis, value).  One schedule, two evaluators (see
+    Returns (MeasurementBasis, value).  One evaluator, two schedules (see
     the module docstring): an X-shaped state is searched on the theta line
     at phi*, reporting phi = 0 where phi cannot change the measurement
     (theta = 0 or rho14 = rho23 = 0); any other state on the (theta, phi)
@@ -199,19 +193,23 @@ def minimize_conditional_entropy(rho: np.ndarray):
 
 
 def _minimize(rho: np.ndarray):
-    """The theta-line search for an X-shaped state, the (theta, phi) grid for any other."""
-    return _minimize_x(rho) if _off_x_spill(rho) <= X_SHAPE_TOL else _minimize_grid(rho)
+    """The theta-line search at phi* for an X-shaped state, the (theta, phi) grid for any other."""
+    g = _bloch_map(rho)
+    if _off_x_spill(rho) > X_SHAPE_TOL:
+        return _minimize_grid(g)
+    phi = 0.0
+    if abs(rho[0, 3]) + abs(rho[1, 2]) > 0.0:
+        phi = _fold_phi((np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0)
+    return _minimize_x(g, phi)
 
 
-def _fold_phi(phi: float) -> float:
-    phi = phi % (2.0 * np.pi)
+def _fold_phi(phi) -> float:
+    phi = float(phi) % (2.0 * np.pi)
     return 0.0 if phi >= 2.0 * np.pi else phi  # a tiny negative phi folds onto 2*pi in round-off
 
 
-def _minimize_x(rho: np.ndarray):
-    d = rho.diagonal().real
-    k = abs(rho[0, 3]) + abs(rho[1, 2])
-    vals = _x_conditional_entropy(d, k, GRID_THETA)
+def _minimize_x(g: np.ndarray, phi: float):
+    vals = _conditional_entropy(g, GRID_THETA, phi)
     # refine the first point of every run of equal values lower than both neighbours
     padded = np.concatenate(([np.inf], vals, [np.inf]))
     idx = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))
@@ -221,7 +219,7 @@ def _minimize_x(rho: np.ndarray):
     dt = float(GRID_THETA[1])
     while dt >= _REFINE_MIN_STEP:
         thetas = np.clip(ths[:, None] + dt * _STENCIL, 0.0, np.pi / 2.0)
-        vals = _x_conditional_entropy(d, k, thetas)
+        vals = _conditional_entropy(g, thetas, phi)
         j = np.argmin(vals, axis=1)
         lower = vals[rows, j] < best
         best = np.where(lower, vals[rows, j], best)
@@ -229,15 +227,11 @@ def _minimize_x(rho: np.ndarray):
         dt /= 4.0
     best_val = float(best.min())
     theta = float(ths[best == best_val].min())
-    phi = 0.0
-    if theta > 0.0 and k > 0.0:
-        phi = _fold_phi((np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0)
-    return MeasurementBasis(theta=theta, phi=phi), best_val
+    return MeasurementBasis(theta=theta, phi=phi if theta > 0.0 else 0.0), best_val
 
 
-def _minimize_grid(rho: np.ndarray):
-    r4 = rho.reshape(2, 2, 2, 2)
-    vals = _conditional_entropy_from_trig(r4, *_GRID_TRIG).ravel()
+def _minimize_grid(g: np.ndarray):
+    vals = _conditional_entropy(g, GRID_THETA[:, None], GRID_PHI).ravel()
     best_val = float(vals.min())
     # ties within round-off resolve to the smallest theta, then smallest phi
     i, j = divmod(int(np.argmax(vals <= best_val + 1e-12)), GRID_PHI.size)
@@ -247,7 +241,7 @@ def _minimize_grid(rho: np.ndarray):
     while dt >= _REFINE_MIN_STEP:
         thetas = np.clip(th0 + dt * _STENCIL, 0.0, np.pi / 2.0)
         phis = ph0 + dp * _STENCIL  # periodic in the trig, so left unbounded
-        vals = _conditional_entropy_from_trig(r4, *_basis_trig(thetas, phis))
+        vals = _conditional_entropy(g, thetas[:, None], phis)
         i, j = divmod(int(np.argmin(vals)), _STENCIL.size)
         if vals[i, j] < best_val:
             best_val, th0, ph0 = float(vals[i, j]), float(thetas[i]), float(phis[j])

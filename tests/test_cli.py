@@ -148,9 +148,18 @@ def test_main_decohere_end_to_end(tmp_path, capsys):
     assert "death/revival intervals: none" in err
 
 
-def test_main_config_error_exit_code(capsys):
+def test_main_config_error_exit_code(tmp_path, capsys):
     assert main(["thermal", "--t-range", "2:1:0.1", "--out", "x.csv"]) == 2
     assert "config error" in capsys.readouterr().err
+    # a config file that does not decode as UTF-8 is a config error, not a numeric failure
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"\xff=1\n")
+    code = main(["thermal", "--preset", "fig1", "--config", str(bad), "--dz-range", "0:0:1",
+                 "--t-range", "1:1:1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(bad) in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_main_non_finite_number_is_config_error(capsys):

@@ -220,13 +220,13 @@ def test_minimize_dominates_random_bases():
 def test_minimize_value_below_every_grid_sample():
     # every point of the full 65 x 128 grid over theta in [0, pi/2], of which
     # the search evaluates only the half with theta <= pi/4
-    from qcorr.correlations import GRID_PHI, _basis_trig, _conditional_entropy_from_trig
+    from qcorr.correlations import GRID_PHI, _bloch_map, _conditional_entropy
 
     rng = np.random.default_rng(149)
     rho = random_density_matrix(rng)
     _, value = minimize_conditional_entropy(rho)
     full_theta = np.linspace(0.0, np.pi / 2.0, 65)
-    grid_vals = _conditional_entropy_from_trig(rho.reshape(2, 2, 2, 2), *_basis_trig(full_theta, GRID_PHI))
+    grid_vals = _conditional_entropy(_bloch_map(rho), full_theta[:, None], GRID_PHI)
     assert grid_vals.shape == (65, 128)
     assert value <= grid_vals.min() + 1e-15
 
@@ -243,6 +243,8 @@ def test_conditional_entropy_invariant_under_outcome_swap():
 
 
 def test_x_state_reduction_matches_explicit_sandwich():
+    from qcorr.correlations import _fold_phi
+
     rng = np.random.default_rng(181)
     for _ in range(250):
         rho = random_x_state(rng)
@@ -250,6 +252,9 @@ def test_x_state_reduction_matches_explicit_sandwich():
         reduced = x_state_conditional_entropy(rho, np.array([theta]))[0]
         explicit = explicit_conditional_entropy(rho, theta, x_state_phase(rho))
         assert abs(reduced - explicit) <= 1e-12
+        # the production evaluator at phi*, as the X route calls it
+        production = conditional_entropy(rho, MeasurementBasis(theta, _fold_phi(x_state_phase(rho))))
+        assert abs(production - explicit) <= 1e-12
 
 
 def _interior_minimum_states():
@@ -282,13 +287,13 @@ def test_x_state_oracle_has_interior_minima():
 
 
 def test_minimize_matches_x_state_oracle():
-    from qcorr.correlations import _minimize_grid
+    from qcorr.correlations import _bloch_map, _minimize_grid
 
     for rho in _x_states_for_discord():
         basis, value = minimize_conditional_entropy(rho)
         oracle = x_state_min_conditional_entropy(rho)
         assert oracle - 1e-9 <= value <= oracle + 1e-12
-        _, grid_value = _minimize_grid(rho)  # the 2-D search as an oracle
+        _, grid_value = _minimize_grid(_bloch_map(rho))  # the 2-D search as an oracle
         assert value <= grid_value + 1e-14
         # the general evaluator at the returned basis, phi* included, agrees
         assert abs(conditional_entropy(rho, basis) - value) <= 1e-12
@@ -302,20 +307,21 @@ def test_x_route_refines_every_local_minimum(monkeypatch):
     node = corr.GRID_THETA
     shallow, deep = float(node[8]), float(node[20] + node[1] / 2.0)
 
-    def two_wells(d, k, thetas):
+    def two_wells(g, thetas, phis):
         t = np.asarray(thetas)
         return np.minimum(10.0 * (t - shallow) ** 2, (t - deep) ** 2 - 1e-6)
 
-    monkeypatch.setattr(corr, "_x_conditional_entropy", two_wells)
-    assert two_wells(None, None, node).argmin() == 8
-    basis, value = corr._minimize_x(bell_initial_state())
+    g = corr._bloch_map(bell_initial_state())
+    monkeypatch.setattr(corr, "_conditional_entropy", two_wells)
+    assert two_wells(None, node, 0.0).argmin() == 8
+    basis, value = corr._minimize_x(g, 0.0)
     assert abs(basis.theta - deep) <= 1e-8
     assert value == pytest.approx(-1e-6, abs=1e-15)
 
     # equal wells on two grid nodes: the smaller theta wins
-    monkeypatch.setattr(corr, "_x_conditional_entropy",
-                        lambda d, k, thetas: np.minimum((thetas - shallow) ** 2, (thetas - node[20]) ** 2))
-    basis, value = corr._minimize_x(bell_initial_state())
+    monkeypatch.setattr(corr, "_conditional_entropy",
+                        lambda g, thetas, phis: np.minimum((thetas - shallow) ** 2, (thetas - node[20]) ** 2))
+    basis, value = corr._minimize_x(g, 0.0)
     assert (basis.theta, value) == (shallow, 0.0)
 
 
@@ -329,7 +335,7 @@ def test_spill_selects_the_discord_route(monkeypatch, spill, route):
     calls = []
     for name in ("_minimize_x", "_minimize_grid"):
         fn = getattr(corr, name)
-        monkeypatch.setattr(corr, name, lambda r, fn=fn, name=name: calls.append(name) or fn(r))
+        monkeypatch.setattr(corr, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     _, value = minimize_conditional_entropy(rho)
     report = correlation_report(rho)
     assert calls == [route, route]
@@ -384,6 +390,10 @@ def test_report_bell():
     assert rep.quantum_discord == pytest.approx(1.0, abs=1e-9)
     for value in (rep.concurrence, rep.mutual_information, rep.classical_correlation, rep.quantum_discord):
         assert type(value) is float
+    # the argmin angles are plain floats on the X route (theta > 0, phi from phi*) and the grid route
+    for rho in (werner_state(0.9), random_density_matrix(np.random.default_rng(199))):
+        b = correlation_report(rho).argmin_basis
+        assert type(b.theta) is float and type(b.phi) is float
 
 
 def test_report_maximally_mixed_and_pure_product():
