@@ -45,10 +45,12 @@ theta line alone: every discrete local minimum of the coarse line is
 refined on shrinking 17-point stencils, all of them in one batched call
 per round.  Any other state is searched over the 33 x 128
 (theta, phi) grid, whose minimum is refined on shrinking 17 x 17 stencils
-with phi periodic (so it wraps through phi = 0).  Ties resolve to the
-smallest theta, then phi.
+with phi periodic (so it wraps through phi = 0).  On both routes, values
+within 1e-12 of the minimum tie, and ties resolve to the smallest theta,
+then phi; the reported S_min is the minimum itself.
 
-Everything here is pure and deterministic.
+``correlation_report`` validates its input once; everything behind it
+takes a checked state.  Everything here is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import validate_two_qubit_state, validated_spectrum
-from .linalg import _reduced_state, _spectrum_entropy, _xlog2x
+from .linalg import _spectrum_entropy, _xlog2x, validated_spectrum
 
 # sigma_y (x) sigma_y, the spin flip of the concurrence
 _Y4 = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
@@ -99,12 +100,6 @@ class CorrelationReport:
     classical_correlation: float
     quantum_discord: float
     argmin_basis: MeasurementBasis
-
-
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix, in [0, 1]."""
-    _, lam, vecs = validated_spectrum(rho)
-    return _concurrence(lam, vecs)
 
 
 def _concurrence(lam: np.ndarray, vecs: np.ndarray) -> float:
@@ -171,29 +166,15 @@ def _conditional_entropy(g: np.ndarray, thetas, phis) -> np.ndarray:
     return terms[0] + terms[1]
 
 
-def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
-    """sum_k p_k S(rho_k) for the projective measurement of ``basis`` on qubit B."""
-    g = _bloch_map(validate_two_qubit_state(rho))
-    return float(_conditional_entropy(g, basis.theta, basis.phi))
-
-
-def minimize_conditional_entropy(rho: np.ndarray):
-    """Global minimum of the measured conditional entropy over (theta, phi).
-
-    Returns (MeasurementBasis, value).  One evaluator, two schedules (see
-    the module docstring): an X-shaped state is searched on the theta line
-    at phi*, reporting phi = 0 where phi cannot change the measurement
-    (theta = 0 or rho14 = rho23 = 0); any other state on the (theta, phi)
-    grid.  Each refinement round is 4x finer until the theta spacing is
-    below 1e-9, and a refined point replaces its incumbent only when
-    strictly lower, so the value never exceeds any coarse sample of its
-    route.
-    """
-    return _minimize(validate_two_qubit_state(rho))
-
-
 def _minimize(rho: np.ndarray):
-    """The theta-line search at phi* for an X-shaped state, the (theta, phi) grid for any other."""
+    """(MeasurementBasis, S_min) of a validated state: the theta line at phi* if X-shaped, else the grid.
+
+    The X route reports phi = 0 where phi cannot change the measurement
+    (theta = 0 or rho14 = rho23 = 0).  Each refinement round is 4x finer
+    until the theta spacing is below 1e-9, and a refined point replaces its
+    incumbent only when strictly lower, so the value never exceeds any
+    coarse sample of its route.
+    """
     g = _bloch_map(rho)
     if _off_x_spill(rho) > X_SHAPE_TOL:
         return _minimize_grid(g)
@@ -209,11 +190,11 @@ def _fold_phi(phi) -> float:
 
 
 def _minimize_x(g: np.ndarray, phi: float):
-    vals = _conditional_entropy(g, GRID_THETA, phi)
+    coarse = _conditional_entropy(g, GRID_THETA, phi)
     # refine the first point of every run of equal values lower than both neighbours
-    padded = np.concatenate(([np.inf], vals, [np.inf]))
-    idx = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))
-    ths, best = GRID_THETA[idx], vals[idx]
+    padded = np.concatenate(([np.inf], coarse, [np.inf]))
+    idx = np.flatnonzero((coarse < padded[:-2]) & (coarse <= padded[2:]))
+    ths, best = GRID_THETA[idx], coarse[idx]
 
     rows = np.arange(idx.size)
     dt = float(GRID_THETA[1])
@@ -226,7 +207,9 @@ def _minimize_x(g: np.ndarray, phi: float):
         ths = np.where(lower, thetas[rows, j], ths)
         dt /= 4.0
     best_val = float(best.min())
-    theta = float(ths[best == best_val].min())
+    # ties within round-off resolve to the smallest theta, coarse samples included
+    tol = best_val + 1e-12
+    theta = float(np.concatenate((GRID_THETA[coarse <= tol], ths[best <= tol])).min())
     return MeasurementBasis(theta=theta, phi=phi if theta > 0.0 else 0.0), best_val
 
 
@@ -262,7 +245,8 @@ def correlation_report(rho: np.ndarray) -> CorrelationReport:
     shows as too low a CC.
     """
     rho, lam, vecs = validated_spectrum(rho)
-    r = np.stack((_reduced_state(rho, "A"), _reduced_state(rho, "B")))
+    r4 = rho.reshape(2, 2, 2, 2)
+    r = np.stack((np.einsum("abcb->ac", r4), np.einsum("abad->bd", r4)))  # rho_A, rho_B
     sa, sb = _entropy_terms(r[:, 0, 0].real, r[:, 1, 1].real, np.abs(r[:, 0, 1]) ** 2).tolist()
     sab = _spectrum_entropy(lam)
     basis, smin = _minimize(rho)

@@ -9,8 +9,9 @@ block on span{|00>,|11>} with eigenvalues (Jz +- (Jx-Jy))/2 and an inner
 block on span{|01>,|10>} with off-diagonal beta/2, beta = Jx+Jy+2i*Dz, and
 eigenvalues (-Jz +- mu)/2 where mu = |beta| = sqrt((Jx+Jy)^2 + 4 Dz^2).
 
-This module builds the spectrum from the two blocks, and both model states
-from that one eigenbasis: the Gibbs state exp(-H/T)/Z, and the
+This module builds the spectrum from the two blocks, as the plain pair
+(levels, vecs) of ``hamiltonian_spectrum``, and both model states from
+that one eigenbasis: the Gibbs state exp(-H/T)/Z, and the
 pure-dephasing evolution that damps every coherence between energy
 eigenstates |m>,|n> by exp(-(gamma t / 2)(Em - En)^2) while rotating it by
 exp(-i (Em - En) t).
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .linalg import validate_two_qubit_state
+from .linalg import validated_spectrum
 
 
 def _finite(name, value) -> float:
@@ -93,14 +94,6 @@ class DecoherenceParams:
         object.__setattr__(self, "time", t)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 _ENERGY_SCALES = ("mu = hypot(Jx+Jy, 2Dz)", "(Jz + (Jx-Jy))/2", "(Jz - (Jx-Jy))/2",
                   "(-Jz + mu)/2", "(-Jz - mu)/2")
 
@@ -120,13 +113,13 @@ def _block_levels(p: ModelParams) -> tuple:
     return scales
 
 
-def hamiltonian_spectrum(p: ModelParams) -> SpectralDecomposition:
-    """Spectrum of the Hamiltonian from the two 2x2 parity blocks.
+def hamiltonian_spectrum(p: ModelParams) -> tuple:
+    """(levels, vecs): the Hamiltonian's spectrum from the two 2x2 parity blocks.
 
     The levels (Jz +- (Jx-Jy))/2 on span{|00>,|11>} and (-Jz +- mu)/2 on
     span{|01>,|10>}, sorted ascending, with their Bell-type eigenvectors
     (|00> +- |11>)/sqrt(2) and (e^{i arg beta}|01> +- |10>)/sqrt(2) as
-    columns.  Both arrays are read-only.
+    the columns of vecs.  Both arrays are read-only.
     """
     s = 1.0 / math.sqrt(2.0)
     mu, *levels = _block_levels(p)
@@ -138,7 +131,7 @@ def hamiltonian_spectrum(p: ModelParams) -> SpectralDecomposition:
     vals, vecs = vals[order], vecs[:, order]
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return vals, vecs
 
 
 def thermal_state(tp: ThermalPoint) -> np.ndarray:
@@ -149,8 +142,7 @@ def thermal_state(tp: ThermalPoint) -> np.ndarray:
     whose ratio to T overflows gets weight exactly 0.  V's exact zeros keep
     the state X-shaped.
     """
-    dec = hamiltonian_spectrum(tp.params)
-    levels, v = dec.eigenvalues, dec.eigenvectors
+    levels, v = hamiltonian_spectrum(tp.params)
     with np.errstate(over="ignore"):  # an overflowing gap / T leaves a zero weight
         w = np.exp(-(levels - levels[0]) / tp.temperature)
     out = (v * (w / w.sum())) @ v.conj().T
@@ -169,17 +161,17 @@ def milburn_evolve(dp: DecoherenceParams, rho0: np.ndarray) -> np.ndarray:
 
     rho(t) = sum_mn exp(-(gamma t/2)(Em-En)^2 - i(Em-En) t) <m|rho0|n> |m><n|,
 
-    with |m>, Em from hamiltonian_spectrum.
+    with |m>, Em from hamiltonian_spectrum; rho0 is checked by
+    linalg.validated_spectrum, which raises ValueError for a non-state.
 
     At gamma = 0 this is exactly the unitary evolution exp(-iHt) rho0 exp(iHt);
     for gamma > 0 the energy-basis diagonal is conserved and purity is
     non-increasing in t.
     """
-    rho0 = validate_two_qubit_state(rho0)
-    dec = hamiltonian_spectrum(dp.params)
-    v = dec.eigenvectors
+    rho0 = validated_spectrum(rho0)[0]
+    levels, v = hamiltonian_spectrum(dp.params)
     coeff = v.conj().T @ rho0 @ v
-    gaps = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
+    gaps = levels[:, None] - levels[None, :]
     rate = 0.5 * dp.gamma * dp.time
     with np.errstate(over="ignore"):  # an overflowing damping leaves a zero coherence
         if 0.0 < rate < math.inf:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths used by the package:
 the matrix exponential is a scaling-and-squaring Taylor evaluation, the
 spectra come from dense LAPACK eigendecompositions rather than the
-package's parity-block closed forms, the dense measurement search contracts
-explicit projector matrices, and the Bell-diagonal discord comes from its
-analytic closed form.
+package's parity-block closed forms, reduced states are np.trace over the
+other qubit's axes, entropies come from eigvalsh spectra, the dense
+measurement search contracts explicit projector matrices, and the
+Bell-diagonal discord comes from its analytic closed form.
 """
 
 from typing import NamedTuple
@@ -82,6 +83,19 @@ def unitary_evolution_oracle(h, rho0, t):
     """exp(-iHt) rho0 exp(+iHt) via the scaling-and-squaring exponential."""
     u = expm_scaling_squaring(-1j * t * np.asarray(h, complex))
     return u @ rho0 @ u.conj().T
+
+
+def reduced_state(rho, keep):
+    """Reduced 2x2 state of qubit ``keep`` ("A" = first, "B" = second) by np.trace over the other."""
+    r4 = np.asarray(rho, complex).reshape(2, 2, 2, 2)
+    return np.trace(r4, axis1=1, axis2=3) if keep == "A" else np.trace(r4, axis1=0, axis2=2)
+
+
+def eigvalsh_entropy(m):
+    """-sum(p log2 p) in bits over the LAPACK eigvalsh spectrum of a Hermitian matrix; p <= 0 adds 0."""
+    p = np.linalg.eigvalsh(np.asarray(m, complex))
+    p = p[p > 0.0]
+    return float(-(p * np.log2(p)).sum())
 
 
 def _plogp_terms(n00, n11, n01):

@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from qcorr.cli import build_config
-from qcorr.correlations import concurrence, correlation_report
-from qcorr.linalg import partial_trace, von_neumann_entropy
+from qcorr.correlations import _concurrence, correlation_report
+from qcorr.linalg import validated_spectrum
 from qcorr.model import (
     DecoherenceParams,
     ModelParams,
@@ -32,6 +32,7 @@ from oracles import (
     dense_grid_min_conditional_entropy,
     dephased_bell_concurrence,
     dephased_bell_steady_state,
+    eigvalsh_entropy,
     gibbs_bell_diagonal_exact,
     milburn_bell_quadratic_mu,
     milburn_bell_wide_grouping,
@@ -39,6 +40,7 @@ from oracles import (
     random_density_matrix,
     random_x_state,
     readme_hamiltonian,
+    reduced_state,
     spin_flip_concurrence,
     thermal_oracle,
     unitary_evolution_oracle,
@@ -101,12 +103,12 @@ def test_criterion_2_milburn_oracle():
         p = ModelParams(*rng.uniform(-1.0, 1.0, size=4))
         gamma = float(rng.uniform(0.05, 0.6))
         rho0 = random_density_matrix(rng)
-        dec = hamiltonian_spectrum(p)
-        d0 = np.diagonal(dec.eigenvectors.conj().T @ rho0 @ dec.eigenvectors).real
+        _, v = hamiltonian_spectrum(p)
+        d0 = np.diagonal(v.conj().T @ rho0 @ v).real
         last_purity = np.inf
         for t in np.linspace(0.0, 10.0, 25):
             rho = milburn_evolve(DecoherenceParams(p, gamma, float(t)), rho0)
-            d = np.diagonal(dec.eigenvectors.conj().T @ rho @ dec.eigenvectors).real
+            d = np.diagonal(v.conj().T @ rho @ v).real
             worst_diag = max(worst_diag, float(np.abs(d - d0).max()))
             purity = np.trace(rho @ rho).real
             purity_ok = purity_ok and purity <= last_purity + 1e-12
@@ -157,17 +159,21 @@ def test_criterion_3_closed_form_audit():
 
 
 def test_criterion_4_concurrence_routes():
-    # production against the algebraic X formula and the textbook spin-flip route
+    # production against the algebraic X formula and the textbook spin-flip route;
+    # C is taken as correlation_report takes it, without the discord search
+    def state_concurrence(rho):
+        return _concurrence(*validated_spectrum(rho)[1:])
+
     rng = np.random.default_rng(4084)
     worst = 0.0
     for _ in range(1000):
         rho = random_x_state(rng)
-        worst = max(worst, abs(x_state_concurrence(rho) - concurrence(rho)))
+        worst = max(worst, abs(x_state_concurrence(rho) - state_concurrence(rho)))
     worst_full = 0.0
     for _ in range(1000):
         rho = random_density_matrix(rng)
-        worst_full = max(worst_full, abs(spin_flip_concurrence(rho) - concurrence(rho)))
-    werner = abs(concurrence(werner_state(0.5)) - 0.25)
+        worst_full = max(worst_full, abs(spin_flip_concurrence(rho) - state_concurrence(rho)))
+    werner = abs(state_concurrence(werner_state(0.5)) - 0.25)
     _verdict(
         "criterion 4",
         worst <= 1e-10 and worst_full <= 1e-10 and werner <= 1e-10,
@@ -414,7 +420,7 @@ def test_criterion_8_steady_state_concurrence():
         gamma = 0.1
         t = 2.0 * 40.0 / (gamma * p.mu**2)  # gamma mu^2 t / 2 = 40
         rho = milburn_evolve(DecoherenceParams(p, gamma, t), bell_initial_state())
-        results[dz] = (concurrence(rho), (p.jx + p.jy) / p.mu)
+        results[dz] = (correlation_report(rho).concurrence, (p.jx + p.jy) / p.mu)
     ok = all(abs(c - target) <= 1e-3 for c, target in results.values())
     ordered = results[0.3][0] < results[0.1][0]
     detail = [
@@ -480,7 +486,7 @@ def test_criterion_10_every_preset_row_matches_its_theorem():
     # Bell-diagonal closed form is exact on every fig1 row.  The dephased
     # Bell pair lives on span{|01>, |10>}: measuring sz on B leaves A pure,
     # so S_min = 0, CC = S_A and QD = S_B - S_AB on every fig2 row, with the
-    # entropies taken from eigvalsh through von_neumann_entropy.
+    # entropies taken from eigvalsh by the oracle eigvalsh_entropy.
     detail = []
     ok = True
     cfg = build_config(dict(PRESETS["fig1"], out="fig1.csv"))
@@ -501,9 +507,9 @@ def test_criterion_10_every_preset_row_matches_its_theorem():
         for row in run_sweep(cfg):
             dp = DecoherenceParams(replace(cfg.params, dz=row.dz), cfg.gamma, row.axis)
             rho = milburn_evolve(dp, bell_initial_state())
-            sa = von_neumann_entropy(partial_trace(rho, "A"))
-            sb = von_neumann_entropy(partial_trace(rho, "B"))
-            sab = von_neumann_entropy(rho)
+            sa = eigvalsh_entropy(reduced_state(rho, "A"))
+            sb = eigvalsh_entropy(reduced_state(rho, "B"))
+            sab = eigvalsh_entropy(rho)
             devs.append([abs(row.classical_correlation - sa), abs(row.quantum_discord - (sb - sab)),
                          abs(row.mutual_information - (sa + sb - sab))])
         devs = np.array(devs)

@@ -5,13 +5,14 @@ import pytest
 
 from qcorr.correlations import (
     MeasurementBasis,
+    _bloch_map,
+    _concurrence,
+    _conditional_entropy,
     _entropy_terms,
-    concurrence,
-    conditional_entropy,
+    _minimize,
     correlation_report,
-    minimize_conditional_entropy,
 )
-from qcorr.linalg import partial_trace, von_neumann_entropy
+from qcorr.linalg import validated_spectrum
 from qcorr.model import (
     DecoherenceParams,
     ModelParams,
@@ -25,12 +26,14 @@ from oracles import (
     SY,
     bell_diagonal_exact,
     dense_grid_min_conditional_entropy,
+    eigvalsh_entropy,
     explicit_conditional_entropy,
     random_bell_diagonal,
     random_density_matrix,
     random_rank2_x_state,
     random_unitary,
     random_x_state,
+    reduced_state,
     spin_flip_concurrence,
     werner_state,
     x_state_concurrence,
@@ -44,6 +47,16 @@ def product_state(rho_a, rho_b):
     return np.kron(rho_a, rho_b)
 
 
+def state_concurrence(rho):
+    """C as correlation_report computes it, without the discord search."""
+    return _concurrence(*validated_spectrum(rho)[1:])
+
+
+def measured_entropy(rho, theta, phi):
+    """The production evaluator at one basis, as both discord routes call it."""
+    return float(_conditional_entropy(_bloch_map(rho), theta, phi))
+
+
 def test_spin_flip_matrix_is_sigma_y_squared():
     from qcorr.correlations import _Y4
 
@@ -51,18 +64,18 @@ def test_spin_flip_matrix_is_sigma_y_squared():
 
 
 def test_concurrence_bell():
-    assert concurrence(bell_initial_state()) == pytest.approx(1.0, abs=1e-12)
+    assert state_concurrence(bell_initial_state()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concurrence_maximally_mixed():
-    assert concurrence(np.eye(4, dtype=complex) / 4.0) == 0.0
+    assert state_concurrence(np.eye(4, dtype=complex) / 4.0) == 0.0
 
 
 def test_concurrence_werner_half():
     # Wootters eigenvalues of the Werner state give max(0, (3p-1)/2)
-    assert concurrence(werner_state(0.5)) == pytest.approx(0.25, abs=1e-10)
-    assert concurrence(werner_state(1.0 / 3.0)) == pytest.approx(0.0, abs=1e-10)
-    assert concurrence(werner_state(0.9)) == pytest.approx(0.85, abs=1e-10)
+    assert state_concurrence(werner_state(0.5)) == pytest.approx(0.25, abs=1e-10)
+    assert state_concurrence(werner_state(1.0 / 3.0)) == pytest.approx(0.0, abs=1e-10)
+    assert state_concurrence(werner_state(0.9)) == pytest.approx(0.85, abs=1e-10)
 
 
 def test_concurrence_local_unitary_invariance():
@@ -72,7 +85,7 @@ def test_concurrence_local_unitary_invariance():
         u = np.kron(random_unitary(rng), random_unitary(rng))
         rotated = u @ rho @ u.conj().T
         rotated = 0.5 * (rotated + rotated.conj().T)
-        assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-9)
+        assert state_concurrence(rotated) == pytest.approx(state_concurrence(rho), abs=1e-9)
 
 
 def test_concurrence_x_state_bell():
@@ -85,7 +98,7 @@ def test_concurrence_x_state_diagonal():
     for d in (np.full(4, 0.25), rng.dirichlet(np.ones(4))):
         rho = np.diag(d).astype(complex)
         assert x_state_concurrence(rho) == 0.0
-        assert concurrence(rho) == 0.0
+        assert state_concurrence(rho) == 0.0
         assert correlation_report(rho).concurrence == 0.0
 
 
@@ -98,7 +111,7 @@ def test_concurrence_x_state_dephased_bell_limit():
     rho[2, 1] = rho[1, 2].conjugate()
     expected = 3.6 / np.sqrt(13.0)
     assert x_state_concurrence(rho) == pytest.approx(expected, abs=1e-12)
-    assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
+    assert state_concurrence(rho) == pytest.approx(expected, abs=1e-12)
     assert correlation_report(rho).concurrence == pytest.approx(expected, abs=1e-12)
 
 
@@ -106,8 +119,8 @@ def test_concurrence_x_state_matches_general_route():
     rng = np.random.default_rng(103)
     for _ in range(1000):
         rho = random_x_state(rng)
-        assert concurrence(rho) == pytest.approx(x_state_concurrence(rho), abs=1e-12)
-        assert concurrence(rho) == pytest.approx(spin_flip_concurrence(rho), abs=1e-10)
+        assert state_concurrence(rho) == pytest.approx(x_state_concurrence(rho), abs=1e-12)
+        assert state_concurrence(rho) == pytest.approx(spin_flip_concurrence(rho), abs=1e-10)
 
 
 def test_concurrence_exact_on_rotated_rank2_x_states():
@@ -120,7 +133,7 @@ def test_concurrence_exact_on_rotated_rank2_x_states():
         rotated = u @ rho @ u.conj().T
         rotated = 0.5 * (rotated + rotated.conj().T)
         expected = x_state_concurrence(rho)
-        assert abs(concurrence(rotated) - expected) <= 1e-12
+        assert abs(state_concurrence(rotated) - expected) <= 1e-12
         if i % 4 == 0:
             assert abs(correlation_report(rotated).concurrence - expected) <= 1e-12
 
@@ -147,22 +160,21 @@ def test_conditional_entropy_product_state():
         rho_a = random_density_matrix(rng, 2)
         rho_b = random_density_matrix(rng, 2)
         rho = product_state(rho_a, rho_b)
-        basis = MeasurementBasis(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
-        expected = von_neumann_entropy(rho_a)
-        assert conditional_entropy(rho, basis) == pytest.approx(expected, abs=1e-10)
+        theta, phi = rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi)
+        expected = eigvalsh_entropy(rho_a)
+        assert measured_entropy(rho, theta, phi) == pytest.approx(expected, abs=1e-10)
 
 
 def test_conditional_entropy_bell_any_basis():
     rng = np.random.default_rng(127)
     bell = bell_initial_state()
     for _ in range(20):
-        basis = MeasurementBasis(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
-        assert conditional_entropy(bell, basis) <= 1e-10
+        theta, phi = rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi)
+        assert measured_entropy(bell, theta, phi) <= 1e-10
 
 
 def test_conditional_entropy_maximally_mixed():
-    basis = MeasurementBasis(0.3, 1.2)
-    assert conditional_entropy(np.eye(4, dtype=complex) / 4.0, basis) == pytest.approx(1.0, abs=1e-12)
+    assert measured_entropy(np.eye(4, dtype=complex) / 4.0, 0.3, 1.2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_entropy_matches_explicit_sandwich():
@@ -171,13 +183,18 @@ def test_conditional_entropy_matches_explicit_sandwich():
         rho = random_density_matrix(rng)
         theta = rng.uniform(0, np.pi / 2)
         phi = rng.uniform(0, 2 * np.pi)
-        fast = conditional_entropy(rho, MeasurementBasis(theta, phi))
+        fast = measured_entropy(rho, theta, phi)
         slow = explicit_conditional_entropy(rho, theta, phi)
         assert fast == pytest.approx(slow, abs=1e-11)
 
 
+def test_x_route_ties_resolve_to_the_smallest_theta():
+    # S is flat in theta within 2e-16 on this state, so theta = 0 is the tie choice
+    assert correlation_report(werner_state(0.9)).argmin_basis == MeasurementBasis(0.0, 0.0)
+
+
 def test_minimize_bell_flat_landscape():
-    basis, value = minimize_conditional_entropy(bell_initial_state())
+    basis, value = _minimize(bell_initial_state())
     assert value <= 1e-10
     assert basis.theta == 0.0 and basis.phi == 0.0  # tie-break at the first grid node
 
@@ -186,13 +203,13 @@ def test_minimize_product_state():
     rng = np.random.default_rng(137)
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 2)
-    _, value = minimize_conditional_entropy(product_state(rho_a, rho_b))
-    assert value == pytest.approx(von_neumann_entropy(rho_a), abs=1e-9)
+    _, value = _minimize(product_state(rho_a, rho_b))
+    assert value == pytest.approx(eigvalsh_entropy(rho_a), abs=1e-9)
 
 
 def test_minimize_thermal_state_vs_dense_grid():
     rho = thermal_state(ThermalPoint(ModelParams(0.2, 0.4, 0.8, 1.0), 1.0))
-    _, value = minimize_conditional_entropy(rho)
+    _, value = _minimize(rho)
     dense = dense_grid_min_conditional_entropy(rho)
     assert value <= dense + 1e-5
 
@@ -203,7 +220,7 @@ def test_minimize_wraps_phi_through_zero():
     p = ModelParams(jx=-2.5167188125478512, jy=-0.7730850414054586,
                     jz=-0.577463163587999, dz=0.07816153067105258)
     rho = thermal_state(ThermalPoint(p, 1.0608))
-    _, value = minimize_conditional_entropy(rho)
+    _, value = _minimize(rho)
     assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
 
 
@@ -211,10 +228,10 @@ def test_minimize_dominates_random_bases():
     rng = np.random.default_rng(139)
     for _ in range(5):
         rho = random_density_matrix(rng)
-        _, value = minimize_conditional_entropy(rho)
+        _, value = _minimize(rho)
         for _ in range(100):
-            basis = MeasurementBasis(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
-            assert value <= conditional_entropy(rho, basis) + 1e-9
+            theta, phi = rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi)
+            assert value <= measured_entropy(rho, theta, phi) + 1e-9
 
 
 def test_minimize_value_below_every_grid_sample():
@@ -224,7 +241,7 @@ def test_minimize_value_below_every_grid_sample():
 
     rng = np.random.default_rng(149)
     rho = random_density_matrix(rng)
-    _, value = minimize_conditional_entropy(rho)
+    _, value = _minimize(rho)
     full_theta = np.linspace(0.0, np.pi / 2.0, 65)
     grid_vals = _conditional_entropy(_bloch_map(rho), full_theta[:, None], GRID_PHI)
     assert grid_vals.shape == (65, 128)
@@ -237,9 +254,8 @@ def test_conditional_entropy_invariant_under_outcome_swap():
     for _ in range(200):
         rho = random_density_matrix(rng)
         theta, phi = rng.uniform(0.0, np.pi / 2.0), rng.uniform(0.0, 2.0 * np.pi)
-        swapped = MeasurementBasis(np.pi / 2.0 - theta, (phi + np.pi) % (2.0 * np.pi))
-        s = conditional_entropy(rho, MeasurementBasis(theta, phi))
-        assert abs(conditional_entropy(rho, swapped) - s) <= 1e-14
+        s = measured_entropy(rho, theta, phi)
+        assert abs(measured_entropy(rho, np.pi / 2.0 - theta, (phi + np.pi) % (2.0 * np.pi)) - s) <= 1e-14
 
 
 def test_x_state_reduction_matches_explicit_sandwich():
@@ -253,7 +269,7 @@ def test_x_state_reduction_matches_explicit_sandwich():
         explicit = explicit_conditional_entropy(rho, theta, x_state_phase(rho))
         assert abs(reduced - explicit) <= 1e-12
         # the production evaluator at phi*, as the X route calls it
-        production = conditional_entropy(rho, MeasurementBasis(theta, _fold_phi(x_state_phase(rho))))
+        production = measured_entropy(rho, theta, _fold_phi(x_state_phase(rho)))
         assert abs(production - explicit) <= 1e-12
 
 
@@ -290,13 +306,13 @@ def test_minimize_matches_x_state_oracle():
     from qcorr.correlations import _bloch_map, _minimize_grid
 
     for rho in _x_states_for_discord():
-        basis, value = minimize_conditional_entropy(rho)
+        basis, value = _minimize(rho)
         oracle = x_state_min_conditional_entropy(rho)
         assert oracle - 1e-9 <= value <= oracle + 1e-12
         _, grid_value = _minimize_grid(_bloch_map(rho))  # the 2-D search as an oracle
         assert value <= grid_value + 1e-14
         # the general evaluator at the returned basis, phi* included, agrees
-        assert abs(conditional_entropy(rho, basis) - value) <= 1e-12
+        assert abs(measured_entropy(rho, basis.theta, basis.phi) - value) <= 1e-12
 
 
 def test_x_route_refines_every_local_minimum(monkeypatch):
@@ -336,12 +352,12 @@ def test_spill_selects_the_discord_route(monkeypatch, spill, route):
     for name in ("_minimize_x", "_minimize_grid"):
         fn = getattr(corr, name)
         monkeypatch.setattr(corr, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-    _, value = minimize_conditional_entropy(rho)
+    _, value = _minimize(rho)
     report = correlation_report(rho)
     assert calls == [route, route]
     assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
     assert report.classical_correlation == pytest.approx(
-        von_neumann_entropy(partial_trace(rho, "A")) - value, abs=1e-12)
+        eigvalsh_entropy(reduced_state(rho, "A")) - value, abs=1e-12)
 
 
 def test_classical_correlation_trivial_states():
@@ -434,8 +450,8 @@ def test_report_additivity_on_model_states():
     for _ in range(20):
         p = ModelParams(*rng.uniform(-1, 1, size=4))
         rho = thermal_state(ThermalPoint(p, float(rng.uniform(0.05, 2.0))))
-        sa = von_neumann_entropy(partial_trace(rho, "A"))
-        sb = von_neumann_entropy(partial_trace(rho, "B"))
+        sa = eigvalsh_entropy(reduced_state(rho, "A"))
+        sb = eigvalsh_entropy(reduced_state(rho, "B"))
         assert sa == pytest.approx(sb, abs=1e-10)
         rep = correlation_report(rho)
         assert rep.quantum_discord + rep.classical_correlation == pytest.approx(
@@ -460,11 +476,11 @@ def test_entropy_terms_count_every_eigenvalue_and_every_outcome():
 
 def test_report_mutual_information_matches_eigvalsh_entropies():
     # the reduced-state entropies come from the 2x2 kernel, S_AB from the
-    # validated spectrum; von_neumann_entropy diagonalizes each one again
+    # validated spectrum; the oracle takes each one from eigvalsh again
     rng = np.random.default_rng(181)
     for _ in range(1000):
         rho = random_density_matrix(rng)
-        sa = von_neumann_entropy(partial_trace(rho, "A"))
-        sb = von_neumann_entropy(partial_trace(rho, "B"))
-        expected = sa + sb - von_neumann_entropy(rho)
+        sa = eigvalsh_entropy(reduced_state(rho, "A"))
+        sb = eigvalsh_entropy(reduced_state(rho, "B"))
+        expected = sa + sb - eigvalsh_entropy(rho)
         assert correlation_report(rho).mutual_information == pytest.approx(expected, rel=0.0, abs=1e-12)

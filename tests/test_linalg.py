@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from qcorr.linalg import partial_trace, validate_two_qubit_state, von_neumann_entropy
+from qcorr.correlations import correlation_report
+from qcorr.linalg import _spectrum_entropy, validated_spectrum
+from qcorr.model import DecoherenceParams, ModelParams, milburn_evolve
 
-from oracles import SX, eig_hermitian, random_density_matrix, random_hermitian, random_pure_state, reconstruct
+from oracles import (
+    SX,
+    eig_hermitian,
+    random_density_matrix,
+    random_hermitian,
+    random_pure_state,
+    reconstruct,
+    reduced_state,
+)
 
 
 def test_eig_diagonal_matrix():
@@ -64,20 +74,20 @@ def test_eig_degenerate_projectors():
 
 def test_partial_trace_maximally_mixed():
     rho = np.eye(4, dtype=complex) / 4.0
-    assert np.abs(partial_trace(rho, "A") - np.eye(2) / 2.0).max() <= 1e-14
+    assert np.abs(reduced_state(rho, "A") - np.eye(2) / 2.0).max() <= 1e-14
 
 
 def test_partial_trace_bell():
     bell = np.zeros((4, 4), dtype=complex)
     bell[1, 1] = bell[2, 2] = bell[1, 2] = bell[2, 1] = 0.5
-    assert np.abs(partial_trace(bell, "B") - np.eye(2) / 2.0).max() <= 1e-14
+    assert np.abs(reduced_state(bell, "B") - np.eye(2) / 2.0).max() <= 1e-14
 
 
 def test_partial_trace_product_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     expected = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert np.abs(partial_trace(rho, "A") - expected).max() <= 1e-14
+    assert np.abs(reduced_state(rho, "A") - expected).max() <= 1e-14
 
 
 def test_partial_trace_preserves_trace():
@@ -85,28 +95,28 @@ def test_partial_trace_preserves_trace():
     for _ in range(100):
         rho = random_density_matrix(rng)
         for keep in ("A", "B"):
-            reduced = partial_trace(rho, keep)
+            reduced = reduced_state(rho, keep)
             assert abs(reduced.trace() - rho.trace()) <= 1e-12
 
 
-def test_partial_trace_rejects_bad_subsystem():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4, dtype=complex) / 4.0, "C")
+def state_entropy(rho):
+    """S(rho) as correlation_report takes it: the kernel over the validated spectrum."""
+    return _spectrum_entropy(validated_spectrum(rho)[1])
 
 
 def test_entropy_maximally_mixed():
-    assert von_neumann_entropy(np.eye(4, dtype=complex) / 4.0) == pytest.approx(2.0, abs=1e-12)
+    assert state_entropy(np.eye(4, dtype=complex) / 4.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_entropy_pure_states():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        assert von_neumann_entropy(random_pure_state(rng)) <= 1e-10
+        assert state_entropy(random_pure_state(rng)) <= 1e-10
 
 
 def test_entropy_rank_two():
     rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-12)
+    assert state_entropy(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_entropy_unitary_invariance():
@@ -117,15 +127,35 @@ def test_entropy_unitary_invariance():
         u = eig_hermitian(random_hermitian(rng, 4)).eigenvectors
         rotated = u @ rho @ u.conj().T
         rotated = 0.5 * (rotated + rotated.conj().T)
-        assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-10
+        assert abs(state_entropy(rotated) - state_entropy(rho)) <= 1e-10
 
 
-def test_entropy_rejects_negative_eigenvalue():
-    rho = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        von_neumann_entropy(rho)
+_NON_HERMITIAN = np.eye(4, dtype=complex) / 4.0
+_NON_HERMITIAN[0, 1] = 0.1
+
+# each input with the message validated_spectrum rejects it with
+NON_STATES = {
+    "2x2": (np.eye(2, dtype=complex) / 2.0, "expected dimension in (4,), got 2"),
+    "non-square": (np.zeros((4, 3), dtype=complex), "expected a square matrix, got shape (4, 3)"),
+    "non-Hermitian": (_NON_HERMITIAN, "density matrix is not Hermitian within 1e-12"),
+    "trace-2": (np.eye(4, dtype=complex) / 2.0, "density matrix trace (2+0j) differs from 1 beyond 1e-12"),
+    "negative-eigenvalue": (np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex),
+                            "density matrix has negative eigenvalue -1.000e-01"),
+}
 
 
-def test_validate_two_qubit_state_rejects_bad_trace():
-    with pytest.raises(ValueError):
-        validate_two_qubit_state(np.eye(4, dtype=complex))
+@pytest.mark.parametrize("case", NON_STATES)
+def test_correlation_report_rejects_non_states(case):
+    rho, message = NON_STATES[case]
+    with pytest.raises(ValueError) as info:
+        correlation_report(rho)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", NON_STATES)
+def test_milburn_evolve_rejects_non_states(case):
+    rho, message = NON_STATES[case]
+    dp = DecoherenceParams(ModelParams(0.2, 0.4, 0.8, 1.0), 0.1, 1.0)
+    with pytest.raises(ValueError) as info:
+        milburn_evolve(dp, rho)
+    assert str(info.value) == message

@@ -24,7 +24,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcorr.correlations import correlation_report
-from qcorr.linalg import partial_trace, von_neumann_entropy
 from qcorr.model import (
     DecoherenceParams,
     ModelParams,
@@ -35,7 +34,7 @@ from qcorr.model import (
     thermal_state,
 )
 
-from oracles import random_density_matrix
+from oracles import eigvalsh_entropy, random_density_matrix, reduced_state
 
 SYMMETRY_TOL = 1e-9
 SCALE_TOL = 1e-12
@@ -117,7 +116,7 @@ def test_dephased_state_is_scale_invariant_and_x_shaped(p, g, t, s):
 
 
 def _local_entropies(rho):
-    return (von_neumann_entropy(partial_trace(rho, "A")), von_neumann_entropy(partial_trace(rho, "B")))
+    return (eigvalsh_entropy(reduced_state(rho, "A")), eigvalsh_entropy(reduced_state(rho, "B")))
 
 
 @bounds

@@ -163,14 +163,14 @@ def test_decoherence_trace_dips_and_revives():
 
 
 def test_decoherence_concurrence_floor_at_dip_time():
-    from qcorr.correlations import concurrence
+    from qcorr.correlations import correlation_report
     from qcorr.model import DecoherenceParams, bell_initial_state, milburn_evolve
 
     p = ModelParams(0.03, 0.06, 0.0, 6.0)
     t_dip = float(np.pi / (2.0 * p.mu))  # cos(mu t) = 0 exactly
     rho = milburn_evolve(DecoherenceParams(p, 0.01, t_dip), bell_initial_state())
     floor = (p.jx + p.jy) / p.mu
-    assert concurrence(rho) == pytest.approx(floor, abs=1e-10)
+    assert correlation_report(rho).concurrence == pytest.approx(floor, abs=1e-10)
 
 
 def test_emit_csv_header_only(tmp_path):
