@@ -1,12 +1,14 @@
 """Command-line entry point.
 
-    qcorr thermal  [--preset fig1] [--jx F --jy F --jz F --dz F]
-                   [--t-range a:b:s] [--dz-range a:b:s] --out PATH
+    qcorr thermal  [--preset fig1] [--jx F --jy F --jz F]
+                   [--dz F | --dz-range a:b:s] [--t-range a:b:s] --out PATH
     qcorr decohere [--preset fig2-lower|fig2-upper] [--jx F ...]
-                   [--time-range a:b:s] [--dz-range a:b:s] [--gamma F] --out PATH
+                   [--dz F | --dz-range a:b:s] [--time-range a:b:s] [--gamma F] --out PATH
 
 Options may also come from an INI-style key=value file via --config; explicit
-flags override the file, and both override the preset.  Exit codes: 0 ok,
+flags override the file, and both override the preset.  --dz and --dz-range
+spell one setting: the highest of those layers that gives either one decides.
+Each subcommand takes only its own axis flag.  Exit codes: 0 ok,
 2 configuration error, 3 numeric failure, 4 output error.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 from .errors import (
     EXIT_CONFIG,
@@ -38,11 +41,30 @@ from .sweep import (
 
 _MODE_BY_COMMAND = {"thermal": "thermal", "decohere": "decoherence"}
 
-_MODEL_KEYS = ("jx", "jy", "jz", "dz")
-_FLOAT_KEYS = _MODEL_KEYS + ("gamma",)
-_RANGE_KEYS = ("t-range", "time-range", "dz-range")
-_ALL_KEYS = ("mode", "preset", "out") + _FLOAT_KEYS + _RANGE_KEYS
-_VALUE_FLAGS = tuple(f"--{key}" for key in ("preset", "config", "out") + _FLOAT_KEYS + _RANGE_KEYS)
+
+def _number(text: str, name: str) -> float:
+    """A finite float: the converter of the number flags, as parse_range is of the ranges."""
+    try:
+        number = float(text)
+    except ValueError:
+        raise ConfigError(f"{name}: expected a number, got {text!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: expected a finite number, got {text!r}")
+    return number
+
+
+def _options(axis: str, *numbers: str) -> dict:
+    """key -> (converter of (text, flag name), or None for text, default) of one subcommand."""
+    table = {key: (_number, 0.0) for key in ("jx", "jy", "jz", "dz", *numbers)}
+    table.update({key: (parse_range, None) for key in (axis, "dz-range")})
+    table["out"] = (None, None)
+    return table
+
+
+# One table per subcommand makes its parser, its config-file keys and the
+# flags whose negative values are rejoined.
+_OPTIONS = {"thermal": _options("t-range"), "decohere": _options("time-range", "gamma")}
+_VALUE_FLAGS = {f"--{key}" for table in _OPTIONS.values() for key in ("preset", "config", *table)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,19 +72,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The parser and its subcommand parsers; a flag that is not given is absent."""
     parser = _Parser(prog="qcorr", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="thermal|decohere")
-    for command in ("thermal", "decohere"):
-        p = sub.add_parser(command)
+    for command, table in _OPTIONS.items():
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--config", metavar="FILE")
-        for key in _FLOAT_KEYS if command == "decohere" else _MODEL_KEYS:
-            p.add_argument(f"--{key}", type=float)
-        for key in _RANGE_KEYS:
-            p.add_argument(f"--{key}", metavar="a:b:s")
-        p.add_argument("--out", metavar="PATH")
-    return parser
+        for key, (convert, _) in table.items():
+            metavar = {parse_range: "a:b:s", None: "PATH"}.get(convert)
+            p.add_argument(f"--{key}", type=convert and partial(convert, name=f"--{key}"),
+                           metavar=metavar)
+    return parser, sub.choices
 
 
 def _join_negative_values(argv) -> list:
@@ -76,7 +98,7 @@ def _join_negative_values(argv) -> list:
     return out
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -91,87 +113,64 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("_", "-")
-        if key not in _ALL_KEYS:
+        if key not in ("mode", "preset", *_OPTIONS[command]):
+            if any(key in table for table in _OPTIONS.values()):
+                raise ConfigError(f"--{key} is not valid in {_MODE_BY_COMMAND[command]} mode")
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _merge(mode: str, file_values: dict, args: argparse.Namespace) -> dict:
-    """preset < config file < explicit flags."""
-    merged: dict = {}
-    preset = getattr(args, "preset", None) or file_values.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}")
-        spec = PRESETS[preset]
-        if spec["mode"] != mode:
-            raise ConfigError(
-                f"preset {preset!r} is a {spec['mode']} preset, not valid for mode {mode}"
-            )
-        merged.update(spec)
-    for key, value in file_values.items():
-        if key in ("preset", "mode"):
-            if key == "mode" and value != mode:
-                raise ConfigError(f"config file mode {value!r} conflicts with command {mode}")
-            continue
-        merged[key] = value
-    for key in _FLOAT_KEYS + _RANGE_KEYS + ("out",):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            merged[key] = value
-    merged["mode"] = mode
-    return merged
-
-
-def _to_float(merged: dict, key: str, default: float = 0.0) -> float:
-    value = merged.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{key}: expected a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"--{key}: expected a finite number, got {value!r}")
-    return number
-
-
-def build_config(merged: dict) -> SweepConfig:
-    mode = merged["mode"]
-    params = ModelParams(
-        jx=_to_float(merged, "jx"),
-        jy=_to_float(merged, "jy"),
-        jz=_to_float(merged, "jz"),
-        dz=_to_float(merged, "dz"),
-    )
-    ranges = {}
-    for key in _RANGE_KEYS:
-        value = merged.get(key)
-        ranges[key] = parse_range(str(value), f"--{key}") if value is not None else None
-    if mode == "thermal":
-        for key in ("time-range", "gamma"):
-            if merged.get(key) is not None:
-                raise ConfigError(f"--{key} is not valid in thermal mode")
-    if mode == "decoherence" and ranges["t-range"] is not None:
-        raise ConfigError("--t-range selects temperatures; use --time-range in decohere mode")
-    return SweepConfig(
-        mode=mode,
-        params=params,
-        temperature_range=ranges["t-range"],
-        time_range=ranges["time-range"],
-        dz_range=ranges["dz-range"],
-        gamma=_to_float(merged, "gamma"),
-        output_path=str(merged.get("out") or ""),
-    )
+def _preset_values(name: str, mode: str) -> dict:
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    values = dict(PRESETS[name])
+    if (preset_mode := values.pop("mode")) != mode:
+        raise ConfigError(f"preset {name!r} is a {preset_mode} preset, not valid for mode {mode}")
+    return values
 
 
 def parse_config(argv) -> SweepConfig:
-    """Build a validated SweepConfig from CLI arguments (and --config file)."""
-    args = _build_parser().parse_args(_join_negative_values(argv))
+    """Build a validated SweepConfig from CLI arguments (and --config file).
+
+    The first parse reads the command, --preset, --config and the flags
+    given.  The preset values, then the file values, become the
+    subcommand's defaults; the second parse lets the flags override them
+    and runs every string default through its flag's type= converter.
+    """
+    argv = _join_negative_values(argv)
+    parser, subparsers = _build_parser()
+    args = parser.parse_args(argv)
     if args.command is None:
         raise ConfigError("missing command: expected thermal or decohere")
-    mode = _MODE_BY_COMMAND[args.command]
-    file_values = _read_config_file(args.config) if args.config else {}
-    return build_config(_merge(mode, file_values, args))
+    command, mode = args.command, _MODE_BY_COMMAND[args.command]
+    given = {dest.replace("_", "-"): value for dest, value in vars(args).items()
+             if dest not in ("command", "preset", "config")}
+    path = getattr(args, "config", None)
+    file_values = _read_config_file(path, command) if path else {}
+    if (file_mode := file_values.pop("mode", mode)) != mode:
+        raise ConfigError(f"config file mode {file_mode!r} conflicts with command {mode}")
+    preset = getattr(args, "preset", file_values.pop("preset", None))
+    layers = (("the preset", _preset_values(preset, mode) if preset else {}),
+              (f"config file {path}", file_values), ("the command line", given))
+    base = {key: default for key, (_, default) in _OPTIONS[command].items()}
+    defaults = dict(base)
+    for where, layer in layers:
+        if "dz" in layer and "dz-range" in layer:
+            raise ConfigError(f"--dz and --dz-range spell one setting; {where} gives both")
+        if "dz" in layer or "dz-range" in layer:  # the layer replaces both
+            defaults.update({"dz": base["dz"], "dz-range": base["dz-range"]})
+        defaults.update(layer)
+    subparsers[command].set_defaults(**{key.replace("-", "_"): v for key, v in defaults.items()})
+    args = parser.parse_args(argv)
+    return SweepConfig(
+        mode=mode,
+        params=ModelParams(args.jx, args.jy, args.jz, args.dz),
+        axis=args.t_range if mode == "thermal" else args.time_range,
+        dz_range=args.dz_range,
+        gamma=getattr(args, "gamma", 0.0),
+        output_path=args.out or "",
+    )
 
 
 def main(argv=None) -> int:

@@ -29,8 +29,8 @@ M(n) = tr_B[rho (1 x (1 + n.sigma)/2)], is affine in n (Luo, PRA 77,
 of the state (``_bloch_map``) takes (1, n) to the entries of M(n) and
 (1, -n) to those of M(-n).  (pi/2 - theta, phi + pi) is -n, the same
 measurement with its outcomes swapped, so the coarse grid covers theta in
-[0, pi/4] only (33 points, ``GRID_THETA``); the refinement clips theta to
-[0, pi/2], so it may cross pi/4.
+[0, pi/4] only (33 points, ``GRID_THETA``); both refinements keep theta in
+[0, pi/2], so they may cross pi/4.
 
 Two schedules call the evaluator, and ``_minimize`` picks between them;
 nothing else depends on the shape of the state.  An X-shaped state (every
@@ -45,7 +45,8 @@ theta line alone: every discrete local minimum of the coarse line is
 refined on shrinking 17-point stencils, all of them in one batched call
 per round.  Any other state is searched over the 33 x 128
 (theta, phi) grid, whose minimum is refined on shrinking 17 x 17 stencils
-with phi periodic (so it wraps through phi = 0).  On both routes, values
+in the plane tangent to the Bloch sphere at the incumbent, so the
+refinement passes through the poles and through phi = 0.  On both routes, values
 within 1e-12 of the minimum tie, and ties resolve to the smallest theta,
 then phi; the reported S_min is the minimum itself.
 
@@ -220,16 +221,23 @@ def _minimize_grid(g: np.ndarray):
     i, j = divmod(int(np.argmax(vals <= best_val + 1e-12)), GRID_PHI.size)
     th0, ph0 = float(GRID_THETA[i]), float(GRID_PHI[j])
 
-    dt, dp = float(GRID_THETA[1]), float(GRID_PHI[1])
+    # refine in the plane tangent to the sphere at the incumbent n: the points
+    # n + a e_theta + b e_phi, a and b the stencil times h, the arc of one spacing
+    # (the polar angle is 2 theta); their directions give theta and phi, so a
+    # step may cross a pole or phi = 0
+    dt = float(GRID_THETA[1])
     while dt >= _REFINE_MIN_STEP:
-        thetas = np.clip(th0 + dt * _STENCIL, 0.0, np.pi / 2.0)
-        phis = ph0 + dp * _STENCIL  # periodic in the trig, so left unbounded
-        vals = _conditional_entropy(g, thetas[:, None], phis)
-        i, j = divmod(int(np.argmin(vals)), _STENCIL.size)
-        if vals[i, j] < best_val:
-            best_val, th0, ph0 = float(vals[i, j]), float(thetas[i]), float(phis[j])
+        c, s, h = np.cos(2.0 * th0), np.sin(2.0 * th0), 2.0 * dt * _STENCIL
+        cp, sp = np.cos(ph0), np.sin(ph0)
+        v = (np.array([s * cp, s * sp, c]) + h[:, None, None] * np.array([c * cp, c * sp, -s])
+             + h[None, :, None] * np.array([-sp, cp, 0.0]))
+        thetas = 0.5 * np.arctan2(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+        phis = np.arctan2(v[..., 1], v[..., 0])
+        vals = _conditional_entropy(g, thetas, phis)
+        k = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[k] < best_val:
+            best_val, th0, ph0 = float(vals[k]), float(thetas[k]), float(phis[k])
         dt /= 4.0
-        dp /= 4.0
     return MeasurementBasis(theta=th0, phi=_fold_phi(ph0)), best_val
 
 

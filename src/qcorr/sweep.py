@@ -10,8 +10,9 @@ Two modes:
 
 Ranges are given as start:stop:step and include both endpoints; when the
 step does not divide the span exactly the last point overshoots stop by less
-than one step so that stop is always covered.  Rows are ordered
-lexicographically by (dz, axis) and every run of the same configuration
+than one step so that stop is always covered.  ``SweepConfig.axis`` holds
+the temperatures in thermal mode and the times in decoherence mode.  Rows are
+ordered lexicographically by (dz, axis) and every run of the same configuration
 produces a byte-identical file.  Sweep points are independent of each other;
 ``run_sweep`` evaluates them sequentially in grid order, picking the state
 builder by mode, and ``emit_csv`` writes the rows.
@@ -100,8 +101,7 @@ class SweepConfig:
 
     mode: str  # "thermal" | "decoherence"
     params: ModelParams
-    temperature_range: AxisRange | None
-    time_range: AxisRange | None
+    axis: AxisRange | None  # temperatures in thermal mode, times in decoherence mode
     dz_range: AxisRange | None
     gamma: float
     output_path: str
@@ -111,23 +111,20 @@ class SweepConfig:
             raise ConfigError(f"mode must be thermal or decoherence, got {self.mode!r}")
         if not self.output_path:
             raise ConfigError("missing output path (--out)")
-        if self.mode == "thermal":
-            if self.temperature_range is None:
-                raise ConfigError("thermal mode requires --t-range")
-            if self.temperature_range.start < THERMAL_FLOOR:
-                raise ConfigError(
-                    f"--t-range: temperatures below the floor {THERMAL_FLOOR} "
-                    f"are not supported (got start {self.temperature_range.start})"
-                )
-        else:
-            if self.time_range is None:
-                raise ConfigError("decoherence mode requires --time-range")
-            if self.time_range.start < 0.0:
+        if self.axis is None:
+            flag = "--t-range" if self.mode == "thermal" else "--time-range"
+            raise ConfigError(f"{self.mode} mode requires {flag}")
+        if self.mode == "thermal" and self.axis.start < THERMAL_FLOOR:
+            raise ConfigError(
+                f"--t-range: temperatures below the floor {THERMAL_FLOOR} "
+                f"are not supported (got start {self.axis.start})"
+            )
+        if self.mode == "decoherence":
+            if self.axis.start < 0.0:
                 raise ConfigError("--time-range: time must start at >= 0")
             if self.gamma < 0.0:
                 raise ConfigError(f"--gamma must be >= 0, got {self.gamma}")
-        axis = self.temperature_range if self.mode == "thermal" else self.time_range
-        rows = (self.dz_range.count if self.dz_range is not None else 1) * axis.count
+        rows = (self.dz_range.count if self.dz_range is not None else 1) * self.axis.count
         if rows > MAX_GRID_ROWS:
             raise ConfigError(f"grid of {rows} rows exceeds the limit of {MAX_GRID_ROWS}")
 
@@ -154,46 +151,24 @@ class SweepRow:
 
 
 PRESETS = {
-    "fig1": {
-        "mode": "thermal",
-        "jx": 0.2,
-        "jy": 0.4,
-        "jz": 0.8,
-        "dz": 0.0,
-        "t-range": "0.01:2:0.02",
-        "dz-range": "0:3:0.05",
-    },
-    "fig2-lower": {
-        "mode": "decoherence",
-        "jx": 0.03,
-        "jy": 0.06,
-        "jz": 0.0,
-        "dz": 6.0,
-        "gamma": 0.01,
-        "time-range": "0:6:0.005",
-    },
-    "fig2-upper": {
-        "mode": "decoherence",
-        "jx": 3.0,
-        "jy": 0.6,
-        "jz": 0.0,
-        "dz": 0.1,
-        "gamma": 0.1,
-        "time-range": "0:12:0.01",
-    },
+    "fig1": {"mode": "thermal", "jx": 0.2, "jy": 0.4, "jz": 0.8,
+             "t-range": "0.01:2:0.02", "dz-range": "0:3:0.05"},
+    "fig2-lower": {"mode": "decoherence", "jx": 0.03, "jy": 0.06, "jz": 0.0, "dz": 6.0,
+                   "gamma": 0.01, "time-range": "0:6:0.005"},
+    "fig2-upper": {"mode": "decoherence", "jx": 3.0, "jy": 0.6, "jz": 0.0, "dz": 0.1,
+                   "gamma": 0.1, "time-range": "0:12:0.01"},
 }
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Measures of the Gibbs state over (dz, T) or of the dephased Bell pair over (dz, t)."""
     thermal = cfg.mode == "thermal"
-    axis = cfg.temperature_range if thermal else cfg.time_range
     dzs = cfg.dz_range.values() if cfg.dz_range is not None else np.array([cfg.params.dz])
     rho0 = None if thermal else bell_initial_state()
     rows = []
     for dz in dzs:
         params = replace(cfg.params, dz=float(dz))
-        for x in axis.values():
+        for x in cfg.axis.values():
             if thermal:
                 rho = thermal_state(ThermalPoint(params, float(x)))
             else:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from qcorr.cli import build_config
+from qcorr.cli import parse_config
 from qcorr.correlations import _concurrence, correlation_report
 from qcorr.linalg import validated_spectrum
 from qcorr.model import (
@@ -25,7 +25,7 @@ from qcorr.model import (
     milburn_evolve,
     thermal_state,
 )
-from qcorr.sweep import PRESETS, AxisRange, SweepConfig, find_zero_runs, run_sweep
+from qcorr.sweep import AxisRange, SweepConfig, find_zero_runs, run_sweep
 
 from oracles import (
     bell_diagonal_exact,
@@ -215,8 +215,7 @@ def _fig1_config():
     return SweepConfig(
         mode="thermal",
         params=FIG1,
-        temperature_range=AxisRange(0.01, 2.0, 0.02),
-        time_range=None,
+        axis=AxisRange(0.01, 2.0, 0.02),
         dz_range=AxisRange(0.0, 3.0, 0.05),
         gamma=0.0,
         output_path="fig1.csv",
@@ -374,8 +373,7 @@ def test_criterion_7_sudden_death_intervals():
     cfg = SweepConfig(
         mode="decoherence",
         params=p,
-        temperature_range=None,
-        time_range=AxisRange(0.0, t_end, 0.005),
+        axis=AxisRange(0.0, t_end, 0.005),
         dz_range=None,
         gamma=gamma,
         output_path="fig2-lower.csv",
@@ -489,7 +487,7 @@ def test_criterion_10_every_preset_row_matches_its_theorem():
     # entropies taken from eigvalsh by the oracle eigvalsh_entropy.
     detail = []
     ok = True
-    cfg = build_config(dict(PRESETS["fig1"], out="fig1.csv"))
+    cfg = parse_config(["thermal", "--preset", "fig1", "--out", "fig1.csv"])
     devs = []
     for row in run_sweep(cfg):
         exact = gibbs_bell_diagonal_exact(replace(cfg.params, dz=row.dz), row.axis)
@@ -502,7 +500,7 @@ def test_criterion_10_every_preset_row_matches_its_theorem():
         for k, v in zip(("C", "CC", "QD", "I"), devs.T)))
 
     for name in ("fig2-lower", "fig2-upper"):
-        cfg = build_config(dict(PRESETS[name], out=f"{name}.csv"))
+        cfg = parse_config(["decohere", "--preset", name, "--out", f"{name}.csv"])
         devs = []
         for row in run_sweep(cfg):
             dp = DecoherenceParams(replace(cfg.params, dz=row.dz), cfg.gamma, row.axis)

@@ -14,7 +14,7 @@ from qcorr.errors import ConfigError, NumericFailure
 def test_parse_preset_fig1_populates_parameters():
     cfg = parse_config(["thermal", "--preset", "fig1", "--out", "x.csv"])
     assert cfg.params.jx == 0.2 and cfg.params.jy == 0.4 and cfg.params.jz == 0.8
-    assert cfg.temperature_range.count == 101
+    assert cfg.axis.count == 101
     assert cfg.dz_range.count == 61
     assert cfg.mode == "thermal"
 
@@ -26,7 +26,7 @@ def test_parse_explicit_flags():
     )
     assert cfg.params.jx == 1.0 and cfg.params.jy == 1.0 and cfg.params.jz == 1.0
     assert cfg.params.dz == 0.0
-    assert cfg.temperature_range.count == 20
+    assert cfg.axis.count == 20
 
 
 def test_parse_flags_override_preset():
@@ -35,7 +35,7 @@ def test_parse_flags_override_preset():
     )
     assert cfg.params.jx == 0.9
     assert cfg.params.jy == 0.4  # untouched preset value
-    assert cfg.temperature_range.count == 2
+    assert cfg.axis.count == 2
 
 
 def test_parse_rejects_empty_range():
@@ -53,16 +53,23 @@ def test_parse_rejects_mode_mismatched_preset():
         parse_config(["thermal", "--preset", "fig2-lower", "--out", "x.csv"])
 
 
-def test_parse_rejects_wrong_axis_flag():
-    with pytest.raises(ConfigError):
+def test_parse_rejects_wrong_axis_flag(tmp_path):
+    # each subcommand takes only its own axis flag, on the command line and in a file
+    with pytest.raises(ConfigError, match="unrecognized arguments: --time-range 0:1:0.1"):
         parse_config(["thermal", "--time-range", "0:1:0.1", "--t-range", "0.1:1:0.1", "--out", "x.csv"])
+    with pytest.raises(ConfigError, match="unrecognized arguments: --t-range 1:1:1"):
+        parse_config(["decohere", "--preset", "fig2-upper", "--t-range", "1:1:1", "--out", "x.csv"])
+    path = tmp_path / "run.ini"
+    path.write_text("time_range = 0:1:1\n")
+    with pytest.raises(ConfigError, match="--time-range is not valid in thermal mode"):
+        parse_config(["thermal", "--config", str(path), "--t-range", "1:1:1", "--out", "x.csv"])
 
 
 def test_parse_decohere_preset():
     cfg = parse_config(["decohere", "--preset", "fig2-lower", "--out", "x.csv"])
     assert cfg.mode == "decoherence"
     assert cfg.params.dz == 6.0 and cfg.gamma == 0.01
-    assert cfg.time_range is not None
+    assert cfg.axis.count == 1201
 
 
 def test_parse_config_file(tmp_path):
@@ -72,7 +79,7 @@ def test_parse_config_file(tmp_path):
     )
     cfg = parse_config(["thermal", "--config", str(path)])
     assert cfg.params.jx == 0.3
-    assert cfg.temperature_range.count == 3
+    assert cfg.axis.count == 3
     assert cfg.output_path == "from_file.csv"
 
 
@@ -90,6 +97,61 @@ def test_parse_rejects_gamma_in_thermal_mode(tmp_path):
     path.write_text("gamma = 0.1\n")
     with pytest.raises(ConfigError, match="--gamma is not valid in thermal mode"):
         parse_config(["thermal", "--preset", "fig1", "--config", str(path), "--out", "x.csv"])
+
+
+def test_precedence_is_preset_then_file_then_flags(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("jx = 0.5\nt-range = 1:2:0.5\nout = file.csv\n")
+    preset = ["thermal", "--preset", "fig1"]
+    flags = ["--jx", "0.7", "--t-range", "1:1:1", "--out", "flag.csv"]
+    layered = [
+        (preset + ["--out", "x.csv"], 0.2, 101, "x.csv"),
+        (preset + ["--config", str(path)], 0.5, 3, "file.csv"),
+        (preset + ["--config", str(path)] + flags, 0.7, 1, "flag.csv"),
+    ]
+    for argv, jx, count, out in layered:
+        cfg = parse_config(argv)
+        assert (cfg.params.jx, cfg.axis.count, cfg.output_path) == (jx, count, out)
+        assert cfg.params.jy == 0.4 and cfg.dz_range.count == 61  # from the preset throughout
+    # the file may name the preset itself; the flag still wins over it
+    path.write_text("preset = fig1\njx = 0.5\n")
+    cfg = parse_config(["thermal", "--config", str(path), "--jx", "0.7", "--out", "x.csv"])
+    assert (cfg.params.jx, cfg.params.jz, cfg.axis.count) == (0.7, 0.8, 101)
+
+
+def test_malformed_config_file_values_exit_2(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    for text, message in (("jx = nan\n", "--jx: expected a finite number, got 'nan'"),
+                          ("t_range = 1:2\n", "--t-range: expected start:stop:step, got '1:2'"),
+                          ("t-range = 1:1:1\n", "--t-range is not valid in decoherence mode")):
+        path.write_text(text)
+        command = "decohere" if "decoherence" in message else "thermal"
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"qcorr: config error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_dz_and_dz_range_are_one_setting(tmp_path):
+    # the highest layer that gives either one decides; none may give both
+    fig1 = ["thermal", "--preset", "fig1", "--t-range", "1:1:1", "--out", "x.csv"]
+    cfg = parse_config(fig1 + ["--dz", "1.5"])
+    assert (cfg.params.dz, cfg.dz_range) == (1.5, None)
+    path = tmp_path / "run.ini"
+    path.write_text("dz = 0.3\n")
+    cfg = parse_config(fig1 + ["--config", str(path)])
+    assert (cfg.params.dz, cfg.dz_range) == (0.3, None)
+    cfg = parse_config(fig1 + ["--config", str(path), "--dz-range", "0:1:0.5"])
+    assert cfg.dz_range.count == 3
+    with pytest.raises(ConfigError, match="--dz and --dz-range spell one setting; the command line"):
+        parse_config(fig1 + ["--dz", "1", "--dz-range", "0:1:0.5"])
+    path.write_text("dz = 0.3\ndz-range = 0:1:0.5\n")
+    with pytest.raises(ConfigError, match=f"--dz and --dz-range spell one setting; config file {path}"):
+        parse_config(fig1 + ["--config", str(path)])
+
+    out = tmp_path / "one.csv"
+    assert main(fig1[:-1] + [str(out), "--dz", "1.5"]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].split(",")[0] == "1.5"
 
 
 def test_main_thermal_end_to_end(tmp_path, capsys):

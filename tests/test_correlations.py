@@ -315,6 +315,30 @@ def test_minimize_matches_x_state_oracle():
         assert abs(measured_entropy(rho, basis.theta, basis.phi) - value) <= 1e-12
 
 
+def test_grid_route_finds_minima_near_the_pole():
+    # Local unitaries leave S_min unchanged, so the X-state oracle of the
+    # unrotated state is exact for the rotated, non-X one.  On these states
+    # the minimum lies near the pole but several phi spacings from the coarse
+    # argmin (state 1852: coarse argmin on theta = 0, minimum at
+    # theta = 0.0094, phi = 0.33), which a stencil stepping in (theta, phi)
+    # missed by up to 3.6e-6.
+    from qcorr.correlations import X_SHAPE_TOL, _off_x_spill
+
+    states, rotations = np.random.default_rng(4242), np.random.default_rng(1)
+    for i in range(1853):
+        rho = random_x_state(states)
+        u = np.kron(random_unitary(rotations), random_unitary(rotations))
+        if i not in (729, 923, 1267, 1852):
+            continue
+        rotated = u @ rho @ u.conj().T
+        rotated = 0.5 * (rotated + rotated.conj().T)
+        assert _off_x_spill(rotated) > X_SHAPE_TOL
+        basis, value = _minimize(rotated)
+        oracle = x_state_min_conditional_entropy(rho)
+        assert oracle - 1e-9 <= value <= oracle + 1e-12
+        assert abs(measured_entropy(rotated, basis.theta, basis.phi) - value) <= 1e-12
+
+
 def test_x_route_refines_every_local_minimum(monkeypatch):
     # a synthetic theta line with two basins: the coarse argmin is the node at
     # the bottom of the shallow one, the deeper one lies between two nodes

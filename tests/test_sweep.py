@@ -21,8 +21,7 @@ def thermal_config(**overrides):
     base = dict(
         mode="thermal",
         params=ModelParams(0.2, 0.4, 0.8, 0.0),
-        temperature_range=AxisRange(0.5, 0.5, 1.0),
-        time_range=None,
+        axis=AxisRange(0.5, 0.5, 1.0),
         dz_range=None,
         gamma=0.0,
         output_path="out.csv",
@@ -35,8 +34,7 @@ def decoherence_config(**overrides):
     base = dict(
         mode="decoherence",
         params=ModelParams(0.03, 0.06, 0.0, 6.0),
-        temperature_range=None,
-        time_range=AxisRange(0.0, 0.5, 0.1),
+        axis=AxisRange(0.0, 0.5, 0.1),
         dz_range=None,
         gamma=0.01,
         output_path="out.csv",
@@ -84,12 +82,12 @@ def test_config_rejects_unknown_mode():
 
 def test_thermal_config_enforces_floor():
     with pytest.raises(ConfigError):
-        thermal_config(temperature_range=AxisRange(0.001, 1.0, 0.1))
+        thermal_config(axis=AxisRange(0.001, 1.0, 0.1))
 
 
 def test_thermal_sweep_ordering_and_invariants():
     cfg = thermal_config(
-        temperature_range=AxisRange(0.2, 0.6, 0.2),
+        axis=AxisRange(0.2, 0.6, 0.2),
         dz_range=AxisRange(0.0, 1.0, 0.5),
     )
     rows = run_sweep(cfg)
@@ -105,14 +103,14 @@ def test_thermal_sweep_ordering_and_invariants():
 
 
 def test_thermal_sweep_deterministic():
-    cfg = thermal_config(temperature_range=AxisRange(0.3, 0.7, 0.2))
+    cfg = thermal_config(axis=AxisRange(0.3, 0.7, 0.2))
     a = run_sweep(cfg)
     b = run_sweep(cfg)
     assert a == b
 
 
 def test_thermal_sweep_infinite_temperature_point():
-    cfg = thermal_config(temperature_range=AxisRange(1e6, 1e6, 1.0))
+    cfg = thermal_config(axis=AxisRange(1e6, 1e6, 1.0))
     (row,) = run_sweep(cfg)
     for value in (row.concurrence, row.classical_correlation, row.quantum_discord, row.mutual_information):
         assert abs(value) <= 1e-6
@@ -120,7 +118,7 @@ def test_thermal_sweep_infinite_temperature_point():
 
 def test_thermal_sweep_concurrence_grows_with_dz():
     cfg = thermal_config(
-        temperature_range=AxisRange(0.5, 0.5, 1.0),
+        axis=AxisRange(0.5, 0.5, 1.0),
         dz_range=AxisRange(0.0, 2.0, 1.0),  # dz in {0, 1, 2}
     )
     rows = run_sweep(cfg)
@@ -129,7 +127,7 @@ def test_thermal_sweep_concurrence_grows_with_dz():
 
 
 def test_decoherence_sweep_t_zero_row():
-    rows = run_sweep(decoherence_config(time_range=AxisRange(0.0, 0.0, 1.0)))
+    rows = run_sweep(decoherence_config(axis=AxisRange(0.0, 0.0, 1.0)))
     (row,) = rows
     assert row.concurrence == pytest.approx(1.0, abs=1e-9)
     assert row.classical_correlation == pytest.approx(1.0, abs=1e-9)
@@ -139,7 +137,7 @@ def test_decoherence_sweep_t_zero_row():
 
 
 def test_decoherence_sweep_closed_form_column():
-    rows = run_sweep(decoherence_config(time_range=AxisRange(0.0, 1.0, 0.25)))
+    rows = run_sweep(decoherence_config(axis=AxisRange(0.0, 1.0, 0.25)))
     assert len(rows) == 5
     for r in rows:
         assert r.closed_form_dev <= 1e-12
@@ -152,7 +150,7 @@ def test_decoherence_trace_dips_and_revives():
     # concurrence dips toward its floor (Jx+Jy)/mu near cos(mu t) = 0, then climbs back
     p = ModelParams(0.03, 0.06, 0.0, 6.0)
     mu = p.mu
-    cfg = decoherence_config(params=p, time_range=AxisRange(0.0, 0.6, 0.002))
+    cfg = decoherence_config(params=p, axis=AxisRange(0.0, 0.6, 0.002))
     rows = run_sweep(cfg)
     cs = np.array([r.concurrence for r in rows])
     floor = (p.jx + p.jy) / mu
@@ -199,7 +197,7 @@ def test_emit_csv_significant_digits(tmp_path):
 
 
 def test_emit_csv_byte_identical(tmp_path):
-    cfg = thermal_config(temperature_range=AxisRange(0.4, 0.8, 0.2))
+    cfg = thermal_config(axis=AxisRange(0.4, 0.8, 0.2))
     rows = run_sweep(cfg)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(rows, str(p1), "thermal")
@@ -231,12 +229,12 @@ def test_find_zero_runs_ignores_unbounded_runs():
 
 def test_config_validation_messages():
     with pytest.raises(ConfigError):
-        SweepConfig(mode="other", params=ModelParams(0, 0, 0, 0), temperature_range=None,
-                    time_range=None, dz_range=None, gamma=0.0, output_path="x.csv")
+        SweepConfig(mode="other", params=ModelParams(0, 0, 0, 0), axis=None,
+                    dz_range=None, gamma=0.0, output_path="x.csv")
     with pytest.raises(ConfigError):
-        thermal_config(temperature_range=None)
+        thermal_config(axis=None)
     with pytest.raises(ConfigError):
-        decoherence_config(time_range=AxisRange(-1.0, 1.0, 0.5))
+        decoherence_config(axis=AxisRange(-1.0, 1.0, 0.5))
     with pytest.raises(ConfigError):
         decoherence_config(gamma=-0.5)
     with pytest.raises(ConfigError):
@@ -247,12 +245,12 @@ def test_config_rejects_grid_above_row_cap():
     # counted from the ranges alone; no grid array is built
     dz = AxisRange(0.0, 9.0, 1.0)  # 10 points
     at_cap = AxisRange(1.0, MAX_GRID_ROWS // 10, 1.0)
-    thermal_config(temperature_range=at_cap, dz_range=dz)
+    thermal_config(axis=at_cap, dz_range=dz)
     over = AxisRange(1.0, MAX_GRID_ROWS // 10 + 1, 1.0)
     with pytest.raises(ConfigError, match="exceeds the limit"):
-        thermal_config(temperature_range=over, dz_range=dz)
+        thermal_config(axis=over, dz_range=dz)
     with pytest.raises(ConfigError, match="exceeds the limit"):
-        decoherence_config(time_range=AxisRange(0.0, 1e9, 1e-3))
+        decoherence_config(axis=AxisRange(0.0, 1e9, 1e-3))
 
 
 def test_range_rejects_infinite_point_count():
