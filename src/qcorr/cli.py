@@ -73,11 +73,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    """The parser and its subcommand parsers; a flag that is not given is absent."""
+    """The parser and its subcommand parsers; a flag that is not given is absent.
+
+    Each flag has one spelling: an abbreviation is an unrecognized argument,
+    so every value flag is one that _join_negative_values knows.
+    """
     parser = _Parser(prog="qcorr", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="thermal|decohere")
     for command, table in _OPTIONS.items():
-        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--config", metavar="FILE")
         for key, (convert, _) in table.items():

@@ -15,7 +15,9 @@ the temperatures in thermal mode and the times in decoherence mode.  Rows are
 ordered lexicographically by (dz, axis) and every run of the same configuration
 produces a byte-identical file.  Sweep points are independent of each other;
 ``run_sweep`` evaluates them sequentially in grid order, picking the state
-builder by mode, and ``emit_csv`` writes the rows.
+builder by mode, and returns one float table whose columns follow the mode's
+header; ``emit_csv`` writes it, and ``find_zero_runs`` scans its concurrence
+column one Dz block at a time.
 """
 
 from __future__ import annotations
@@ -129,27 +131,6 @@ class SweepConfig:
             raise ConfigError(f"grid of {rows} rows exceeds the limit of {MAX_GRID_ROWS}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: axis values plus the four correlation measures."""
-
-    dz: float
-    axis: float  # T in thermal mode, t in decoherence mode
-    concurrence: float
-    classical_correlation: float
-    quantum_discord: float
-    mutual_information: float
-    closed_form_dev: float | None = None
-
-    def __post_init__(self):
-        values = (self.dz, self.axis, self.concurrence, self.classical_correlation,
-                  self.quantum_discord, self.mutual_information)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"non-finite sweep row: {values}")
-        if min(values[2:]) < -1e-9:
-            raise ValueError(f"negative correlation value in sweep row: {values}")
-
-
 PRESETS = {
     "fig1": {"mode": "thermal", "jx": 0.2, "jy": 0.4, "jz": 0.8,
              "t-range": "0.01:2:0.02", "dz-range": "0:3:0.05"},
@@ -160,8 +141,13 @@ PRESETS = {
 }
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Measures of the Gibbs state over (dz, T) or of the dephased Bell pair over (dz, t)."""
+def run_sweep(cfg: SweepConfig) -> np.ndarray:
+    """Measures of the Gibbs state over (dz, T) or of the dephased Bell pair over (dz, t).
+
+    One float row per grid point in (dz, axis) order, its columns those of the
+    mode's CSV header.  A row with a non-finite value or a measure below -1e-9
+    raises ValueError naming the first such row.
+    """
     thermal = cfg.mode == "thermal"
     dzs = cfg.dz_range.values() if cfg.dz_range is not None else np.array([cfg.params.dz])
     rho0 = None if thermal else bell_initial_state()
@@ -171,50 +157,29 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         for x in cfg.axis.values():
             if thermal:
                 rho = thermal_state(ThermalPoint(params, float(x)))
+                dev = ()
             else:
                 dp = DecoherenceParams(params, cfg.gamma, float(x))
                 rho = milburn_evolve(dp, rho0)
+                dev = (np.abs(rho - milburn_closed_form(dp)).max(),)
             rep = correlation_report(rho)
-            dev = None if thermal else float(np.abs(rho - milburn_closed_form(dp)).max())
-            rows.append(
-                SweepRow(
-                    dz=float(dz),
-                    axis=float(x),
-                    concurrence=rep.concurrence,
-                    classical_correlation=rep.classical_correlation,
-                    quantum_discord=rep.quantum_discord,
-                    mutual_information=rep.mutual_information,
-                    closed_form_dev=dev,
-                )
-            )
-    return rows
+            rows.append((dz, x, rep.concurrence, rep.classical_correlation,
+                         rep.quantum_discord, rep.mutual_information, *dev))
+    table = np.array(rows, dtype=float)
+    values = table[:, :6]
+    finite = np.isfinite(values).all(axis=1)
+    bad = ~finite | (values[:, 2:] < -1e-9).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        what = "negative correlation value in sweep row" if finite[i] else "non-finite sweep row"
+        raise ValueError(f"{what}: {tuple(values[i].tolist())}")
+    return table
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def emit_csv(rows: list[SweepRow], path: str, mode: str) -> None:
-    """Write header plus rows, 12 significant digits, newline-terminated."""
-    if mode == "thermal":
-        header = THERMAL_HEADER
-    elif mode == "decoherence":
-        header = DECOHERENCE_HEADER
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    lines = [header]
-    for row in rows:
-        fields = [
-            _fmt(row.dz),
-            _fmt(row.axis),
-            _fmt(row.concurrence),
-            _fmt(row.classical_correlation),
-            _fmt(row.quantum_discord),
-            _fmt(row.mutual_information),
-        ]
-        if mode == "decoherence":
-            fields.append(_fmt(row.closed_form_dev))
-        lines.append(",".join(fields))
+def emit_csv(table: np.ndarray, path: str, mode: str) -> None:
+    """Write the mode's header plus the table's rows, 12 significant digits, newline-terminated."""
+    lines = [THERMAL_HEADER if mode == "thermal" else DECOHERENCE_HEADER]
+    lines += (",".join(format(x, ".12g") for x in row) for row in np.asarray(table).tolist())
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -249,22 +214,15 @@ def staged_output(path: str):
         raise
 
 
-def find_zero_runs(rows: list[SweepRow]) -> list[tuple[float, float]]:
-    """Maximal axis intervals where the concurrence is exactly zero,
-    bounded on both sides by strictly positive values (death/revival events)."""
+def find_zero_runs(table: np.ndarray) -> list[tuple[float, float]]:
+    """Maximal axis intervals where the concurrence is exactly zero, bounded on
+    both sides by positive values of the same Dz block (death/revival events)."""
     events = []
-    run_start = None
-    preceded_positive = False
-    prev_axis = None
-    for row in rows:
-        if row.concurrence == 0.0:
-            if run_start is None and preceded_positive:
-                run_start = row.axis
-            prev_axis = row.axis
-        else:
-            if run_start is not None:
-                events.append((run_start, prev_axis))
-            run_start = None
-            preceded_positive = True
-            prev_axis = row.axis
+    for block in np.split(table, np.flatnonzero(np.diff(table[:, 0])) + 1):
+        # step +1 enters a zero run and -1 leaves it; a run that opens the
+        # block has no +1 and a run that closes it has no -1
+        step = np.diff((block[:, 2] == 0.0).astype(int))
+        starts, ends = np.flatnonzero(step == 1) + 1, np.flatnonzero(step == -1)
+        ends = ends[ends >= starts[0]] if starts.size else ends[:0]
+        events += zip(block[starts[:ends.size], 1].tolist(), block[ends, 1].tolist())
     return events

@@ -348,13 +348,9 @@ def test_criterion_6_fig1_preset_runtime():
     # decay sanity: every trace ends strictly below its own maximum
     columns = {}
     for row in rows:
-        columns.setdefault(row.dz, []).append(row)
+        columns.setdefault(row[0], []).append(row[2:6])  # C, CC, QD, I
     ends_below = all(
-        trace[-1].concurrence < max(r.concurrence for r in trace)
-        and trace[-1].quantum_discord < max(r.quantum_discord for r in trace)
-        and trace[-1].classical_correlation < max(r.classical_correlation for r in trace)
-        and trace[-1].mutual_information < max(r.mutual_information for r in trace)
-        for trace in columns.values()
+        (trace[-1] < np.max(trace, axis=0)).all() for trace in columns.values()
     )
     _verdict(
         "criterion 6 (fig1 preset)",
@@ -380,9 +376,7 @@ def test_criterion_7_sudden_death_intervals():
     )
     rows = run_sweep(cfg)
     events = find_zero_runs(rows)
-    ts = np.array([r.axis for r in rows])
-    cs = np.array([r.concurrence for r in rows])
-    qd = np.array([r.quantum_discord for r in rows])
+    ts, cs, qd = rows[:, 1], rows[:, 2], rows[:, 4]
     exact = dephased_bell_concurrence(p, gamma, ts)
     mu = math.hypot(p.jx + p.jy, 2.0 * p.dz)
     floor = (p.jx + p.jy) / mu
@@ -489,10 +483,10 @@ def test_criterion_10_every_preset_row_matches_its_theorem():
     ok = True
     cfg = parse_config(["thermal", "--preset", "fig1", "--out", "fig1.csv"])
     devs = []
-    for row in run_sweep(cfg):
-        exact = gibbs_bell_diagonal_exact(replace(cfg.params, dz=row.dz), row.axis)
-        devs.append([abs(row.concurrence - exact["C"]), abs(row.classical_correlation - exact["CC"]),
-                     abs(row.quantum_discord - exact["QD"]), abs(row.mutual_information - exact["I"])])
+    for dz, temperature, c, cc, qd, info in run_sweep(cfg):
+        exact = gibbs_bell_diagonal_exact(replace(cfg.params, dz=dz), temperature)
+        devs.append([abs(c - exact["C"]), abs(cc - exact["CC"]),
+                     abs(qd - exact["QD"]), abs(info - exact["I"])])
     devs = np.array(devs)
     ok = ok and len(devs) == 6161 and bool((devs <= 1e-12).all())
     detail.append(f"fig1 ({len(devs)} rows) vs Luo: " + ", ".join(
@@ -502,14 +496,13 @@ def test_criterion_10_every_preset_row_matches_its_theorem():
     for name in ("fig2-lower", "fig2-upper"):
         cfg = parse_config(["decohere", "--preset", name, "--out", f"{name}.csv"])
         devs = []
-        for row in run_sweep(cfg):
-            dp = DecoherenceParams(replace(cfg.params, dz=row.dz), cfg.gamma, row.axis)
+        for dz, t, _, cc, qd, info, _ in run_sweep(cfg):
+            dp = DecoherenceParams(replace(cfg.params, dz=dz), cfg.gamma, t)
             rho = milburn_evolve(dp, bell_initial_state())
             sa = eigvalsh_entropy(reduced_state(rho, "A"))
             sb = eigvalsh_entropy(reduced_state(rho, "B"))
             sab = eigvalsh_entropy(rho)
-            devs.append([abs(row.classical_correlation - sa), abs(row.quantum_discord - (sb - sab)),
-                         abs(row.mutual_information - (sa + sb - sab))])
+            devs.append([abs(cc - sa), abs(qd - (sb - sab)), abs(info - (sa + sb - sab))])
         devs = np.array(devs)
         ok = ok and len(devs) == 1201 and bool((devs <= 1e-12).all())
         detail.append(f"{name} ({len(devs)} rows) vs S_min = 0: " + ", ".join(

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcorr.cli
+import qcorr.sweep
 from qcorr.cli import main, parse_config
 from qcorr.errors import ConfigError, NumericFailure
 
@@ -272,6 +274,39 @@ def test_main_failed_sweep_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(qcorr.cli, "run_sweep", failing_sweep)
     assert main(["thermal", "--t-range", "0.5:0.5:1", "--out", str(tmp_path / "x.csv")]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("concurrence", float("nan"), "non-finite sweep row"),
+    ("quantum_discord", -1e-6, "negative correlation value in sweep row"),
+], ids=["nan", "negative"])
+def test_main_bad_sweep_row_exits_3_without_output(tmp_path, monkeypatch, capsys, field, value, text):
+    real = qcorr.sweep.correlation_report
+    monkeypatch.setattr(qcorr.sweep, "correlation_report",
+                        lambda rho: replace(real(rho), **{field: value}))
+    assert main(["thermal", "--t-range", "0.5:0.5:1", "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"qcorr: numeric failure: {text}: (0.0, 0.5, ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # neither the target nor its .x.csv.<pid>.tmp
+
+
+def test_main_death_revival_scan_stays_in_each_dz_block(tmp_path, capsys):
+    # at gamma = 100 the concurrence of the Bell pair dies by t = 1 and stays 0 in
+    # each Dz block; the next block's t = 0 row is no revival
+    args = ["decohere", "--jx", "0", "--jy", "0", "--jz", "0", "--gamma", "100",
+            "--time-range", "0:10:1", "--out", str(tmp_path / "x.csv")]
+    for dz in (["--dz-range", "1:2:1"], ["--dz", "1"]):
+        assert main(args + dz) == 0
+        assert capsys.readouterr().err == "concurrence death/revival intervals: none\n"
+
+
+def test_main_abbreviated_flags_are_unrecognized(tmp_path, capsys):
+    # one spelling per flag, so every spaced negative value is rejoined with its flag
+    for flag in (["--dz-r", "-1:1:1"], ["--dz-r=-1:1:1"]):
+        assert main(["thermal", "--t-range", "1:1:1", *flag, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

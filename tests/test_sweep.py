@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import qcorr.sweep
+from qcorr.correlations import correlation_report
 from qcorr.errors import ConfigError, OutputError
-from qcorr.model import ModelParams
+from qcorr.model import ModelParams, ThermalPoint, thermal_state
 from qcorr.sweep import (
     MAX_GRID_ROWS,
     PRESETS,
     AxisRange,
     SweepConfig,
-    SweepRow,
     emit_csv,
     find_zero_runs,
     parse_range,
@@ -92,27 +95,25 @@ def test_thermal_sweep_ordering_and_invariants():
     )
     rows = run_sweep(cfg)
     assert len(rows) == 9
-    keys = [(r.dz, r.axis) for r in rows]
+    keys = rows[:, :2].tolist()
     assert keys == sorted(keys)
-    for r in rows:
-        assert r.quantum_discord + r.classical_correlation == pytest.approx(
-            r.mutual_information, abs=1e-9
-        )
-        assert 0.0 <= r.concurrence <= 1.0
-        assert r.quantum_discord >= -1e-9 and r.classical_correlation >= -1e-9
+    for _, _, c, cc, qd, info in rows:
+        assert qd + cc == pytest.approx(info, abs=1e-9)
+        assert 0.0 <= c <= 1.0
+        assert qd >= -1e-9 and cc >= -1e-9
 
 
 def test_thermal_sweep_deterministic():
     cfg = thermal_config(axis=AxisRange(0.3, 0.7, 0.2))
     a = run_sweep(cfg)
     b = run_sweep(cfg)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_thermal_sweep_infinite_temperature_point():
     cfg = thermal_config(axis=AxisRange(1e6, 1e6, 1.0))
     (row,) = run_sweep(cfg)
-    for value in (row.concurrence, row.classical_correlation, row.quantum_discord, row.mutual_information):
+    for value in row[2:6]:
         assert abs(value) <= 1e-6
 
 
@@ -122,28 +123,27 @@ def test_thermal_sweep_concurrence_grows_with_dz():
         dz_range=AxisRange(0.0, 2.0, 1.0),  # dz in {0, 1, 2}
     )
     rows = run_sweep(cfg)
-    cs = [r.concurrence for r in rows]
+    cs = rows[:, 2]
     assert cs[0] < cs[1] < cs[2]
 
 
 def test_decoherence_sweep_t_zero_row():
     rows = run_sweep(decoherence_config(axis=AxisRange(0.0, 0.0, 1.0)))
     (row,) = rows
-    assert row.concurrence == pytest.approx(1.0, abs=1e-9)
-    assert row.classical_correlation == pytest.approx(1.0, abs=1e-9)
-    assert row.quantum_discord == pytest.approx(1.0, abs=1e-9)
-    assert row.mutual_information == pytest.approx(2.0, abs=1e-9)
-    assert row.closed_form_dev <= 1e-12
+    _, _, c, cc, qd, info, closed_form_dev = row
+    assert c == pytest.approx(1.0, abs=1e-9)
+    assert cc == pytest.approx(1.0, abs=1e-9)
+    assert qd == pytest.approx(1.0, abs=1e-9)
+    assert info == pytest.approx(2.0, abs=1e-9)
+    assert closed_form_dev <= 1e-12
 
 
 def test_decoherence_sweep_closed_form_column():
     rows = run_sweep(decoherence_config(axis=AxisRange(0.0, 1.0, 0.25)))
     assert len(rows) == 5
-    for r in rows:
-        assert r.closed_form_dev <= 1e-12
-        assert r.quantum_discord + r.classical_correlation == pytest.approx(
-            r.mutual_information, abs=1e-9
-        )
+    for _, _, _, cc, qd, info, closed_form_dev in rows:
+        assert closed_form_dev <= 1e-12
+        assert qd + cc == pytest.approx(info, abs=1e-9)
 
 
 def test_decoherence_trace_dips_and_revives():
@@ -152,7 +152,7 @@ def test_decoherence_trace_dips_and_revives():
     mu = p.mu
     cfg = decoherence_config(params=p, axis=AxisRange(0.0, 0.6, 0.002))
     rows = run_sweep(cfg)
-    cs = np.array([r.concurrence for r in rows])
+    cs = rows[:, 2]
     floor = (p.jx + p.jy) / mu
     assert floor - 1e-12 <= cs.min() <= floor + 0.01
     assert cs.min() > 0.0  # exact sudden death never happens from the pure Bell pair
@@ -161,7 +161,6 @@ def test_decoherence_trace_dips_and_revives():
 
 
 def test_decoherence_concurrence_floor_at_dip_time():
-    from qcorr.correlations import correlation_report
     from qcorr.model import DecoherenceParams, bell_initial_state, milburn_evolve
 
     p = ModelParams(0.03, 0.06, 0.0, 6.0)
@@ -169,6 +168,22 @@ def test_decoherence_concurrence_floor_at_dip_time():
     rho = milburn_evolve(DecoherenceParams(p, 0.01, t_dip), bell_initial_state())
     floor = (p.jx + p.jy) / p.mu
     assert correlation_report(rho).concurrence == pytest.approx(floor, abs=1e-10)
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("concurrence", float("nan"), "non-finite sweep row"),
+    ("quantum_discord", -1e-6, "negative correlation value in sweep row"),
+], ids=["nan", "negative"])
+def test_run_sweep_names_the_first_bad_row(monkeypatch, field, value, text):
+    monkeypatch.setattr(qcorr.sweep, "correlation_report",
+                        lambda rho: replace(correlation_report(rho), **{field: value}))
+    cfg = thermal_config(axis=AxisRange(0.5, 1.0, 0.5))  # both rows are bad
+    rep = replace(correlation_report(thermal_state(ThermalPoint(cfg.params, 0.5))), **{field: value})
+    first = (0.0, 0.5, rep.concurrence, rep.classical_correlation, rep.quantum_discord,
+             rep.mutual_information)
+    with pytest.raises(ValueError) as info:
+        run_sweep(cfg)
+    assert str(info.value) == f"{text}: {first}"
 
 
 def test_emit_csv_header_only(tmp_path):
@@ -179,19 +194,16 @@ def test_emit_csv_header_only(tmp_path):
 
 def test_emit_csv_single_row(tmp_path):
     path = tmp_path / "one.csv"
-    row = SweepRow(dz=0.5, axis=1.0, concurrence=0.25, classical_correlation=0.1,
-                   quantum_discord=0.15, mutual_information=0.25)
-    emit_csv([row], str(path), "thermal")
+    row = [0.5, 1.0, 0.25, 0.1, 0.15, 0.25]  # dz, T, C, CC, QD, I
+    emit_csv(np.array([row]), str(path), "thermal")
     text = path.read_text()
     assert text == "dz,T,C,CC,QD,I\n0.5,1,0.25,0.1,0.15,0.25\n"
 
 
 def test_emit_csv_significant_digits(tmp_path):
     path = tmp_path / "digits.csv"
-    row = SweepRow(dz=1 / 3, axis=0.30000000000000004, concurrence=0.1234567890123456,
-                   classical_correlation=0.0, quantum_discord=1e-15, mutual_information=2.0,
-                   closed_form_dev=3.2e-16)
-    emit_csv([row], str(path), "decoherence")
+    row = [1 / 3, 0.30000000000000004, 0.1234567890123456, 0.0, 1e-15, 2.0, 3.2e-16]
+    emit_csv(np.array([row]), str(path), "decoherence")
     line = path.read_text().splitlines()[1]
     assert line == "0.333333333333,0.3,0.123456789012,0,1e-15,2,3.2e-16"
 
@@ -210,21 +222,29 @@ def test_emit_csv_io_error(tmp_path):
         emit_csv([], str(tmp_path / "missing" / "deep" / "x.csv"), "thermal")
 
 
-def _row(axis, c):
-    return SweepRow(dz=0.0, axis=axis, concurrence=c, classical_correlation=0.0,
-                    quantum_discord=0.0, mutual_information=0.0)
+def _rows(*points, dz=0.0):
+    # (axis, C) pairs -> table rows with the other measures 0
+    return np.array([[dz, axis, c, 0.0, 0.0, 0.0] for axis, c in points])
 
 
 def test_find_zero_runs_detects_bounded_runs():
-    rows = [_row(0.0, 1.0), _row(0.1, 0.0), _row(0.2, 0.0), _row(0.3, 0.5),
-            _row(0.4, 0.0), _row(0.5, 0.2)]
+    rows = _rows((0.0, 1.0), (0.1, 0.0), (0.2, 0.0), (0.3, 0.5), (0.4, 0.0), (0.5, 0.2))
     assert find_zero_runs(rows) == [(0.1, 0.2), (0.4, 0.4)]
 
 
 def test_find_zero_runs_ignores_unbounded_runs():
     # leading zeros (no positive value before) and trailing zeros (no revival) don't count
-    rows = [_row(0.0, 0.0), _row(0.1, 0.3), _row(0.2, 0.0), _row(0.3, 0.0)]
+    rows = _rows((0.0, 0.0), (0.1, 0.3), (0.2, 0.0), (0.3, 0.0))
     assert find_zero_runs(rows) == []
+
+
+def test_find_zero_runs_scans_each_dz_block_on_its_own():
+    # a run that ends one Dz block is not revived by the next block's first row,
+    # and a run that starts a block is not preceded by the last block's values
+    first = _rows((0.0, 1.0), (0.1, 0.0), (0.2, 0.0), dz=1.0)
+    second = _rows((0.0, 1.0), (0.1, 0.0), (0.2, 0.5), dz=2.0)
+    third = _rows((0.0, 0.0), (0.1, 0.5), dz=3.0)
+    assert find_zero_runs(np.vstack([first, second, third])) == [(0.1, 0.1)]
 
 
 def test_config_validation_messages():
