@@ -113,9 +113,9 @@ class SweepConfig:
             raise ConfigError(f"mode must be thermal or decoherence, got {self.mode!r}")
         if not self.output_path:
             raise ConfigError("missing output path (--out)")
+        axis_flag = "--t-range" if self.mode == "thermal" else "--time-range"
         if self.axis is None:
-            flag = "--t-range" if self.mode == "thermal" else "--time-range"
-            raise ConfigError(f"{self.mode} mode requires {flag}")
+            raise ConfigError(f"{self.mode} mode requires {axis_flag}")
         if self.mode == "thermal" and self.axis.start < THERMAL_FLOOR:
             raise ConfigError(
                 f"--t-range: temperatures below the floor {THERMAL_FLOOR} "
@@ -129,6 +129,11 @@ class SweepConfig:
         rows = (self.dz_range.count if self.dz_range is not None else 1) * self.axis.count
         if rows > MAX_GRID_ROWS:
             raise ConfigError(f"grid of {rows} rows exceeds the limit of {MAX_GRID_ROWS}")
+        # a step below the float spacing of the values rounds onto the same point
+        for flag, r in (("--dz-range", self.dz_range), (axis_flag, self.axis)):
+            if r is not None and (np.diff(r.values()) <= 0.0).any():
+                raise ConfigError(f"{flag}: range {r.start}:{r.stop}:{r.step} repeats grid "
+                                  "points (step below the float spacing of its values)")
 
 
 PRESETS = {

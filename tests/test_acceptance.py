@@ -11,6 +11,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from qcorr.cli import parse_config
 from qcorr.correlations import _concurrence, correlation_report
@@ -25,7 +26,7 @@ from qcorr.model import (
     milburn_evolve,
     thermal_state,
 )
-from qcorr.sweep import AxisRange, SweepConfig, find_zero_runs, run_sweep
+from qcorr.sweep import PRESETS, AxisRange, find_zero_runs, run_sweep
 
 from oracles import (
     bell_diagonal_exact,
@@ -59,6 +60,26 @@ FIG2_SETS = (
 def _verdict(name, ok, detail):
     print(f"[{name}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"{name}: {detail}"
+
+
+@pytest.fixture(scope="module")
+def preset_sweep():
+    """name -> (cfg, table, run_sweep seconds) of a preset as ``qcorr --preset`` parses it.
+
+    Each preset is swept once per module, the first time a criterion asks for it.
+    """
+    sweeps = {}
+
+    def sweep(name):
+        if name not in sweeps:
+            command = "thermal" if PRESETS[name]["mode"] == "thermal" else "decohere"
+            cfg = parse_config([command, "--preset", name, "--out", f"{name}.csv"])
+            t0 = time.perf_counter()
+            table = run_sweep(cfg)
+            sweeps[name] = (cfg, table, time.perf_counter() - t0)
+        return sweeps[name]
+
+    return sweep
 
 
 def test_criterion_1_thermal_state_oracle():
@@ -211,17 +232,6 @@ def test_criterion_5_discord_oracles():
     )
 
 
-def _fig1_config():
-    return SweepConfig(
-        mode="thermal",
-        params=FIG1,
-        axis=AxisRange(0.01, 2.0, 0.02),
-        dz_range=AxisRange(0.0, 3.0, 0.05),
-        gamma=0.0,
-        output_path="fig1.csv",
-    )
-
-
 def test_criterion_6a_concurrence_monotone_in_dz():
     # The thermal half of the abstract at the fig1 couplings: no measure
     # falls as Dz grows (README, "Where Dz helps and where it hurts").
@@ -340,10 +350,10 @@ def test_criterion_6c_high_temperature_decay():
     _verdict("criterion 6c", ok, "; ".join(detail))
 
 
-def test_criterion_6_fig1_preset_runtime():
-    t0 = time.perf_counter()
-    rows = run_sweep(_fig1_config())
-    elapsed = time.perf_counter() - t0
+def test_criterion_6_fig1_preset_runtime(preset_sweep):
+    cfg, rows, elapsed = preset_sweep("fig1")
+    assert (cfg.params, cfg.axis, cfg.dz_range) == (
+        FIG1, AxisRange(0.01, 2.0, 0.02), AxisRange(0.0, 3.0, 0.05))
     count_ok = len(rows) == 6161
     # decay sanity: every trace ends strictly below its own maximum
     columns = {}
@@ -360,21 +370,14 @@ def test_criterion_6_fig1_preset_runtime():
     )
 
 
-def test_criterion_7_sudden_death_intervals():
+def test_criterion_7_sudden_death_intervals(preset_sweep):
     # The dephased Bell pair keeps rho11 = rho44 = 0, so C = 2|rho23| never
     # dies: it dips to the floor f = (Jx+Jy)/mu at mu t = (k + 1/2) pi and
     # revives, with the closed form of ``dephased_bell_concurrence``.
-    p = ModelParams(0.03, 0.06, 0.0, 6.0)
-    gamma, t_end = 0.01, 6.0
-    cfg = SweepConfig(
-        mode="decoherence",
-        params=p,
-        axis=AxisRange(0.0, t_end, 0.005),
-        dz_range=None,
-        gamma=gamma,
-        output_path="fig2-lower.csv",
-    )
-    rows = run_sweep(cfg)
+    _, p, gamma, t_end = FIG2_SETS[0]
+    cfg, rows, _ = preset_sweep("fig2-lower")
+    assert (cfg.params, cfg.gamma, cfg.axis, cfg.dz_range) == (
+        p, gamma, AxisRange(0.0, t_end, 0.005), None)
     events = find_zero_runs(rows)
     ts, cs, qd = rows[:, 1], rows[:, 2], rows[:, 4]
     exact = dephased_bell_concurrence(p, gamma, ts)
@@ -473,7 +476,7 @@ def test_criterion_9_low_temperature_report():
     )
 
 
-def test_criterion_10_every_preset_row_matches_its_theorem():
+def test_criterion_10_every_preset_row_matches_its_theorem(preset_sweep):
     # Every Gibbs state has rho11 = rho44 and rho22 = rho33, so Luo's
     # Bell-diagonal closed form is exact on every fig1 row.  The dephased
     # Bell pair lives on span{|01>, |10>}: measuring sz on B leaves A pure,
@@ -481,9 +484,9 @@ def test_criterion_10_every_preset_row_matches_its_theorem():
     # entropies taken from eigvalsh by the oracle eigvalsh_entropy.
     detail = []
     ok = True
-    cfg = parse_config(["thermal", "--preset", "fig1", "--out", "fig1.csv"])
+    cfg, table, _ = preset_sweep("fig1")
     devs = []
-    for dz, temperature, c, cc, qd, info in run_sweep(cfg):
+    for dz, temperature, c, cc, qd, info in table:
         exact = gibbs_bell_diagonal_exact(replace(cfg.params, dz=dz), temperature)
         devs.append([abs(c - exact["C"]), abs(cc - exact["CC"]),
                      abs(qd - exact["QD"]), abs(info - exact["I"])])
@@ -494,9 +497,9 @@ def test_criterion_10_every_preset_row_matches_its_theorem():
         for k, v in zip(("C", "CC", "QD", "I"), devs.T)))
 
     for name in ("fig2-lower", "fig2-upper"):
-        cfg = parse_config(["decohere", "--preset", name, "--out", f"{name}.csv"])
+        cfg, table, _ = preset_sweep(name)
         devs = []
-        for dz, t, _, cc, qd, info, _ in run_sweep(cfg):
+        for dz, t, _, cc, qd, info, _ in table:
             dp = DecoherenceParams(replace(cfg.params, dz=dz), cfg.gamma, t)
             rho = milburn_evolve(dp, bell_initial_state())
             sa = eigvalsh_entropy(reduced_state(rho, "A"))

@@ -310,6 +310,57 @@ def test_main_abbreviated_flags_are_unrecognized(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, file_text, message", [
+    (["thermal", "--jx", "abc", "--t-range", "1:1:1"], None,
+     "--jx: expected a number, got 'abc'"),
+    (["thermal", "--t-range", "1:1:1"], "jx\n", "{path}:1: expected key=value, got 'jx'"),
+    (["thermal", "--t-range", "1:1:1"], "preset = nope\n", "unknown preset 'nope'"),
+    (["thermal", "--t-range", "1:1:1"], "mode = decoherence\n",
+     "config file mode 'decoherence' conflicts with command thermal"),
+    (["thermal", "--dz-range", "nan:1:1", "--t-range", "1:1:1"], None,
+     "--dz-range: range start must be finite, got nan"),
+    # a step below the float spacing of the values would repeat grid points
+    (["thermal", "--jx", "0.2", "--jy", "0.4", "--jz", "0.8",
+      "--dz-range", "1e16:1.0000000000000004e16:1", "--t-range", "1:1:1"], None,
+     "--dz-range: range 1e+16:1.0000000000000004e+16:1.0 repeats grid points "
+     "(step below the float spacing of its values)"),
+    (["thermal", "--preset", "fig1", "--dz-range", "0:0:1",
+      "--t-range", "0.01:0.010000000000000005:1e-18"], None,
+     "--t-range: range 0.01:0.010000000000000005:1e-18 repeats grid points "
+     "(step below the float spacing of its values)"),
+], ids=["not-a-number", "no-equals", "unknown-preset", "mode-conflict", "nan-range",
+        "repeated-dz", "repeated-t"])
+def test_main_config_error_exits_2_without_output(tmp_path, capsys, argv, file_text, message):
+    path = tmp_path / "run.ini"
+    config = []
+    if file_text is not None:
+        path.write_text(file_text)
+        config = ["--config", str(path)]
+    assert main(argv + config + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"qcorr: config error: {message.format(path=path)}\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["run.ini"] if config else [])
+
+
+def test_main_failed_replace_exits_4_without_output(tmp_path, monkeypatch, capsys):
+    def failing_replace(src, dst):
+        raise OSError("injected")
+
+    monkeypatch.setattr(qcorr.sweep.os, "replace", failing_replace)
+    out = tmp_path / "x.csv"
+    assert main(["thermal", "--t-range", "0.5:0.5:1", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"qcorr: io error: cannot write {out}: injected\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_prints_death_revival_intervals(tmp_path, monkeypatch, capsys):
+    # the CLI's Bell pair has only round-off intervals, so the scan's result is injected
+    monkeypatch.setattr(qcorr.cli, "find_zero_runs", lambda table: [(1.0, 2.0), (3.5, 4.0)])
+    args = ["decohere", "--preset", "fig2-upper", "--time-range", "0:0.1:0.1",
+            "--out", str(tmp_path / "x.csv")]
+    assert main(args) == 0
+    assert capsys.readouterr().err == "concurrence death/revival intervals: [1, 2], [3.5, 4]\n"
+
+
 def test_main_oversized_grid_is_config_error(capsys):
     code = main(["thermal", "--preset", "fig1", "--t-range", "0.01:1e9:0.01", "--out", "x.csv"])
     assert code == 2

@@ -273,6 +273,17 @@ def test_config_rejects_grid_above_row_cap():
         decoherence_config(axis=AxisRange(0.0, 1e9, 1e-3))
 
 
+def test_config_rejects_repeated_grid_points():
+    # a step below the float spacing of the values rounds onto points already
+    # there; repeated Dz values would also merge two blocks for find_zero_runs
+    with pytest.raises(ConfigError, match="^--dz-range: range .* repeats grid points"):
+        thermal_config(dz_range=AxisRange(1e16, 1.0000000000000004e16, 1.0))
+    with pytest.raises(ConfigError, match="^--t-range: range .* repeats grid points"):
+        thermal_config(axis=AxisRange(0.01, 0.010000000000000005, 1e-18))
+    with pytest.raises(ConfigError, match="^--time-range: range .* repeats grid points"):
+        decoherence_config(axis=AxisRange(1e16, 1.0000000000000004e16, 1.0))
+
+
 def test_range_rejects_infinite_point_count():
     with pytest.raises(ConfigError, match="too many points"):
         AxisRange(0.0, 1e300, 1e-300)
