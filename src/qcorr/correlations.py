@@ -25,30 +25,34 @@ Bloch sphere: B_0 = (1 + n.sigma)/2 with
 n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta), and B_1 is the
 same with -n.  The block of qubit A left by outcome n,
 M(n) = tr_B[rho (1 x (1 + n.sigma)/2)], is affine in n (Luo, PRA 77,
-042303 (2008)), so one evaluator serves every search: the real 4x4 map g
-of the state (``_bloch_map``) takes (1, n) to the entries of M(n) and
-(1, -n) to those of M(-n).  (pi/2 - theta, phi + pi) is -n, the same
-measurement with its outcomes swapped, so the coarse grid covers theta in
-[0, pi/4] only (33 points, ``GRID_THETA``); both refinements keep theta in
-[0, pi/2], so they may cross pi/4.
+042303 (2008)), so the evaluator works on unit vectors and calls no trig:
+the real 4x4 map g of the state (``_bloch_map``) takes (1, n) to the
+entries of M(n) and (1, -n) to those of M(-n).
 
-Two schedules call the evaluator, and ``_minimize`` picks between them;
-nothing else depends on the shape of the state.  An X-shaped state (every
-entry off the diagonal and anti-diagonal at most ``X_SHAPE_TOL``) is
-measured at the phase phi* = (arg rho23 - arg rho14)/2, which is optimal
-for every theta (Chen, Zhang, Yu, Yi & Oh, PRA 84, 042313 (2011)): phi
-leaves the diagonals of M(+-n) unchanged, and phi* gives their common
+One search (``_search``) minimizes it; the state's shape picks only its
+coarse set.  An X-shaped state (every entry off the diagonal and
+anti-diagonal at most ``X_SHAPE_TOL``) gets the 33 vectors of the theta
+line at the phase phi* = (arg rho23 - arg rho14)/2, which is optimal for
+every theta (Chen, Zhang, Yu, Yi & Oh, PRA 84, 042313 (2011)): phi leaves
+the diagonals of M(+-n) unchanged, and phi* gives their common
 off-diagonal modulus |cos(theta) sin(theta) (e^{i phi} rho14 +
 e^{-i phi} rho23)| its largest value, which spreads each block's
-eigenvalues furthest and so lowers both entropies.  Its search is the
-theta line alone: every discrete local minimum of the coarse line is
-refined on shrinking 17-point stencils, all of them in one batched call
-per round.  Any other state is searched over the 33 x 128
-(theta, phi) grid, whose minimum is refined on shrinking 17 x 17 stencils
-in the plane tangent to the Bloch sphere at the incumbent, so the
-refinement passes through the poles and through phi = 0.  On both routes, values
-within 1e-12 of the minimum tie, and ties resolve to the smallest theta,
-then phi; the reported S_min is the minimum itself.
+eigenvalues furthest and so lowers both entropies.  Any other state gets
+the 33 x 128 (theta, phi) grid (``GRID_THETA`` x ``GRID_PHI``),
+precomputed as unit vectors.  (pi/2 - theta, phi + pi) is -n, the same
+measurement with its outcomes swapped, so both sets cover theta in
+[0, pi/4] only.  The search refines the coarse argmin n0 in one fixed
+chart of the plane tangent to the sphere at n0: each trial point is
+n0 + a e_theta + b e_phi scaled back onto the sphere, with (a, b) on a
+17-point line stencil (b = 0) for the theta line or a 17 x 17 plane
+stencil for the grid, so the refinement passes through the poles and
+through phi = 0 and may cross pi/4.  A trial point replaces the incumbent
+only when strictly lower, so the value never exceeds any coarse sample.
+theta and phi are read back from the final vector once, and phi is
+reported as 0 at theta = 0.  One tie rule: the coarse point of smallest
+theta, then phi, within 1e-12 of the coarse minimum is reported at its
+own angles if it is still within 1e-12 of the final minimum, else the
+refined point is; the reported S_min is the minimum itself.
 
 ``correlation_report`` validates its input once; everything behind it
 takes a checked state.  Everything here is pure and deterministic.
@@ -68,13 +72,26 @@ _Y4.setflags(write=False)
 
 X_SHAPE_TOL = 1e-10
 
-# coarse search grid over half the theta range, spacing pi/128 in both angles
+
+def _bloch_vectors(thetas, phis) -> np.ndarray:
+    """Unit Bloch vectors n(theta, phi), theta and phi broadcast together, in a last axis of 3."""
+    s = np.sin(2.0 * thetas)
+    return np.stack(np.broadcast_arrays(s * np.cos(phis), s * np.sin(phis), np.cos(2.0 * thetas)), axis=-1)
+
+
+# coarse search grid over half the theta range, spacing pi/128 in both angles,
+# as (theta, phi) rows ordered by theta, then phi, and as unit vectors
 GRID_THETA = np.linspace(0.0, np.pi / 4.0, 33)
 GRID_PHI = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-# refinement stencil: 17 offsets spanning +-2 current spacings, per angle
+_GRID_ANGLES = np.stack(np.meshgrid(GRID_THETA, GRID_PHI, indexing="ij"), axis=-1).reshape(-1, 2)
+_GRID = _bloch_vectors(*_GRID_ANGLES.T)
+# refinement stencils in tangent-chart offsets (a, b): 17 offsets spanning
+# +-2 current spacings along e_theta (the line), or along both axes (the plane)
 _STENCIL = np.linspace(-2.0, 2.0, 17)
+_LINE = np.stack((_STENCIL, np.zeros_like(_STENCIL)), axis=1)
+_PLANE = np.stack(np.meshgrid(_STENCIL, _STENCIL, indexing="ij"), axis=-1).reshape(-1, 2)
 _REFINE_MIN_STEP = 1e-9
-for _a in (GRID_THETA, GRID_PHI, _STENCIL):
+for _a in (GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _LINE, _PLANE):
     _a.setflags(write=False)
 
 
@@ -148,21 +165,14 @@ def _bloch_map(rho: np.ndarray) -> np.ndarray:
     return np.stack((t[:, 0, 0].real, t[:, 1, 1].real, t[:, 0, 1].real, t[:, 0, 1].imag))
 
 
-def _conditional_entropy(g: np.ndarray, thetas, phis) -> np.ndarray:
-    """Measured conditional entropy at each (theta, phi), theta and phi broadcast together.
+def _conditional_entropy(g: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Measured conditional entropy at each unit Bloch vector n (last axis of 3).
 
-    Outcome 0 of the basis is the Bloch vector
-    n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta) and outcome 1
-    is -n; both rows (1, +-n) go through g in one product.
+    Outcome 0 of the basis is n and outcome 1 is -n; both blocks
+    g[:, 0] +- g[:, 1:] n come from one product.
     """
-    s = np.sin(2.0 * thetas)
-    u = np.empty((2, *np.broadcast(thetas, phis).shape, 4))
-    u[..., 0] = 1.0
-    u[0, ..., 1] = s * np.cos(phis)
-    u[0, ..., 2] = s * np.sin(phis)
-    u[0, ..., 3] = np.cos(2.0 * thetas)
-    u[1, ..., 1:] = -u[0, ..., 1:]
-    m = u @ g.T
+    t = n @ g[:, 1:].T
+    m = np.stack((g[:, 0] + t, g[:, 0] - t))
     terms = _entropy_terms(m[..., 0], m[..., 1], m[..., 2] ** 2 + m[..., 3] ** 2)
     return terms[0] + terms[1]
 
@@ -170,19 +180,16 @@ def _conditional_entropy(g: np.ndarray, thetas, phis) -> np.ndarray:
 def _minimize(rho: np.ndarray):
     """(MeasurementBasis, S_min) of a validated state: the theta line at phi* if X-shaped, else the grid.
 
-    The X route reports phi = 0 where phi cannot change the measurement
-    (theta = 0 or rho14 = rho23 = 0).  Each refinement round is 4x finer
-    until the theta spacing is below 1e-9, and a refined point replaces its
-    incumbent only when strictly lower, so the value never exceeds any
-    coarse sample of its route.
+    phi* is 0 where it cannot change the measurement (rho14 = rho23 = 0).
     """
     g = _bloch_map(rho)
     if _off_x_spill(rho) > X_SHAPE_TOL:
-        return _minimize_grid(g)
+        return _search(g, _GRID, _GRID_ANGLES, _PLANE)
     phi = 0.0
     if abs(rho[0, 3]) + abs(rho[1, 2]) > 0.0:
         phi = _fold_phi((np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0)
-    return _minimize_x(g, phi)
+    line = np.stack(np.broadcast_arrays(GRID_THETA, phi), axis=1)
+    return _search(g, _bloch_vectors(*line.T), line, _LINE)
 
 
 def _fold_phi(phi) -> float:
@@ -190,55 +197,38 @@ def _fold_phi(phi) -> float:
     return 0.0 if phi >= 2.0 * np.pi else phi  # a tiny negative phi folds onto 2*pi in round-off
 
 
-def _minimize_x(g: np.ndarray, phi: float):
-    coarse = _conditional_entropy(g, GRID_THETA, phi)
-    # refine the first point of every run of equal values lower than both neighbours
-    padded = np.concatenate(([np.inf], coarse, [np.inf]))
-    idx = np.flatnonzero((coarse < padded[:-2]) & (coarse <= padded[2:]))
-    ths, best = GRID_THETA[idx], coarse[idx]
+def _search(g: np.ndarray, coarse: np.ndarray, angles: np.ndarray, stencil: np.ndarray):
+    """(MeasurementBasis, S_min) from coarse unit vectors, their (theta, phi) rows and a stencil.
 
-    rows = np.arange(idx.size)
+    Trial points n0 + a e_theta + b e_phi, scaled back onto the sphere, lie
+    in one fixed chart at the coarse argmin n0, at (a, b) = incumbent +
+    2 dt stencil; dt, the arc of one theta spacing (the polar angle is
+    2 theta), shrinks 4x per round until it is below 1e-9.
+    """
+    coarse_vals = _conditional_entropy(g, coarse)
+    k = int(np.argmin(coarse_vals))
+    best_val = float(coarse_vals[k])
+    # ties within round-off go to the first coarse point: smallest theta, then phi
+    tie = int(np.argmax(coarse_vals <= best_val + 1e-12))
+    c, s = np.cos(2.0 * angles[k, 0]), np.sin(2.0 * angles[k, 0])
+    cp, sp = np.cos(angles[k, 1]), np.sin(angles[k, 1])
+    steps = stencil @ np.array([[c * cp, c * sp, -s], [-sp, cp, 0.0]])  # a e_theta + b e_phi
+    n = incumbent = coarse[k]  # n0, and then its point in the plane tangent at n0
     dt = float(GRID_THETA[1])
     while dt >= _REFINE_MIN_STEP:
-        thetas = np.clip(ths[:, None] + dt * _STENCIL, 0.0, np.pi / 2.0)
-        vals = _conditional_entropy(g, thetas, phi)
-        j = np.argmin(vals, axis=1)
-        lower = vals[rows, j] < best
-        best = np.where(lower, vals[rows, j], best)
-        ths = np.where(lower, thetas[rows, j], ths)
+        v = incumbent + 2.0 * dt * steps
+        trial = v / np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+        vals = _conditional_entropy(g, trial)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val, incumbent, n = float(vals[j]), v[j], trial[j]
         dt /= 4.0
-    best_val = float(best.min())
-    # ties within round-off resolve to the smallest theta, coarse samples included
-    tol = best_val + 1e-12
-    theta = float(np.concatenate((GRID_THETA[coarse <= tol], ths[best <= tol])).min())
+    if coarse_vals[tie] <= best_val + 1e-12:
+        theta, phi = float(angles[tie, 0]), float(angles[tie, 1])
+    else:
+        theta = 0.5 * float(np.arctan2(np.hypot(n[0], n[1]), n[2]))
+        phi = _fold_phi(np.arctan2(n[1], n[0]))
     return MeasurementBasis(theta=theta, phi=phi if theta > 0.0 else 0.0), best_val
-
-
-def _minimize_grid(g: np.ndarray):
-    vals = _conditional_entropy(g, GRID_THETA[:, None], GRID_PHI).ravel()
-    best_val = float(vals.min())
-    # ties within round-off resolve to the smallest theta, then smallest phi
-    i, j = divmod(int(np.argmax(vals <= best_val + 1e-12)), GRID_PHI.size)
-    th0, ph0 = float(GRID_THETA[i]), float(GRID_PHI[j])
-
-    # refine in the plane tangent to the sphere at the incumbent n: the points
-    # n + a e_theta + b e_phi, a and b the stencil times h, the arc of one spacing
-    # (the polar angle is 2 theta); their directions give theta and phi, so a
-    # step may cross a pole or phi = 0
-    dt = float(GRID_THETA[1])
-    while dt >= _REFINE_MIN_STEP:
-        c, s, h = np.cos(2.0 * th0), np.sin(2.0 * th0), 2.0 * dt * _STENCIL
-        cp, sp = np.cos(ph0), np.sin(ph0)
-        v = (np.array([s * cp, s * sp, c]) + h[:, None, None] * np.array([c * cp, c * sp, -s])
-             + h[None, :, None] * np.array([-sp, cp, 0.0]))
-        thetas = 0.5 * np.arctan2(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
-        phis = np.arctan2(v[..., 1], v[..., 0])
-        vals = _conditional_entropy(g, thetas, phis)
-        k = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        if vals[k] < best_val:
-            best_val, th0, ph0 = float(vals[k]), float(thetas[k]), float(phis[k])
-        dt /= 4.0
-    return MeasurementBasis(theta=th0, phi=_fold_phi(ph0)), best_val
 
 
 def correlation_report(rho: np.ndarray) -> CorrelationReport:

@@ -6,6 +6,7 @@ import pytest
 from qcorr.correlations import (
     MeasurementBasis,
     _bloch_map,
+    _bloch_vectors,
     _concurrence,
     _conditional_entropy,
     _entropy_terms,
@@ -53,8 +54,8 @@ def state_concurrence(rho):
 
 
 def measured_entropy(rho, theta, phi):
-    """The production evaluator at one basis, as both discord routes call it."""
-    return float(_conditional_entropy(_bloch_map(rho), theta, phi))
+    """The production evaluator at the Bloch vector of one basis."""
+    return float(_conditional_entropy(_bloch_map(rho), _bloch_vectors(theta, phi)))
 
 
 def test_spin_flip_matrix_is_sigma_y_squared():
@@ -193,6 +194,18 @@ def test_x_route_ties_resolve_to_the_smallest_theta():
     assert correlation_report(werner_state(0.9)).argmin_basis == MeasurementBasis(0.0, 0.0)
 
 
+def test_grid_route_ties_resolve_to_the_smallest_theta():
+    # a local rotation of a Werner state is another Werner state, flat over the
+    # whole sphere within round-off; a refined point a few ulps lower is no
+    # reason to leave the first grid node
+    rng, werner = np.random.default_rng(11), werner_state(0.9)
+    for _ in range(30):
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rotated = u @ werner @ u.conj().T
+        rotated = 0.5 * (rotated + rotated.conj().T)
+        assert correlation_report(rotated).argmin_basis == MeasurementBasis(0.0, 0.0)
+
+
 def test_minimize_bell_flat_landscape():
     basis, value = _minimize(bell_initial_state())
     assert value <= 1e-10
@@ -237,13 +250,13 @@ def test_minimize_dominates_random_bases():
 def test_minimize_value_below_every_grid_sample():
     # every point of the full 65 x 128 grid over theta in [0, pi/2], of which
     # the search evaluates only the half with theta <= pi/4
-    from qcorr.correlations import GRID_PHI, _bloch_map, _conditional_entropy
+    from qcorr.correlations import GRID_PHI
 
     rng = np.random.default_rng(149)
     rho = random_density_matrix(rng)
     _, value = _minimize(rho)
     full_theta = np.linspace(0.0, np.pi / 2.0, 65)
-    grid_vals = _conditional_entropy(_bloch_map(rho), full_theta[:, None], GRID_PHI)
+    grid_vals = _conditional_entropy(_bloch_map(rho), _bloch_vectors(full_theta[:, None], GRID_PHI))
     assert grid_vals.shape == (65, 128)
     assert value <= grid_vals.min() + 1e-15
 
@@ -268,7 +281,7 @@ def test_x_state_reduction_matches_explicit_sandwich():
         reduced = x_state_conditional_entropy(rho, np.array([theta]))[0]
         explicit = explicit_conditional_entropy(rho, theta, x_state_phase(rho))
         assert abs(reduced - explicit) <= 1e-12
-        # the production evaluator at phi*, as the X route calls it
+        # the production evaluator at phi*, where the theta line lies
         production = measured_entropy(rho, theta, _fold_phi(x_state_phase(rho)))
         assert abs(production - explicit) <= 1e-12
 
@@ -294,6 +307,8 @@ def _x_states_for_discord():
         p = ModelParams(*rng.uniform(-3.0, 3.0, size=4))
         dp = DecoherenceParams(p, float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 10.0)))
         yield milburn_evolve(dp, bell)
+    for _ in range(100):
+        yield random_rank2_x_state(rng)
 
 
 def test_x_state_oracle_has_interior_minima():
@@ -303,13 +318,14 @@ def test_x_state_oracle_has_interior_minima():
 
 
 def test_minimize_matches_x_state_oracle():
-    from qcorr.correlations import _bloch_map, _minimize_grid
+    from qcorr.correlations import _GRID, _GRID_ANGLES, _PLANE, _search
 
     for rho in _x_states_for_discord():
         basis, value = _minimize(rho)
         oracle = x_state_min_conditional_entropy(rho)
         assert oracle - 1e-9 <= value <= oracle + 1e-12
-        _, grid_value = _minimize_grid(_bloch_map(rho))  # the 2-D search as an oracle
+        # the theta line at phi* loses nothing to the plane search over the grid
+        _, grid_value = _search(_bloch_map(rho), _GRID, _GRID_ANGLES, _PLANE)
         assert value <= grid_value + 1e-14
         # the general evaluator at the returned basis, phi* included, agrees
         assert abs(measured_entropy(rho, basis.theta, basis.phi) - value) <= 1e-12
@@ -339,46 +355,43 @@ def test_grid_route_finds_minima_near_the_pole():
         assert abs(measured_entropy(rotated, basis.theta, basis.phi) - value) <= 1e-12
 
 
-def test_x_route_refines_every_local_minimum(monkeypatch):
-    # a synthetic theta line with two basins: the coarse argmin is the node at
-    # the bottom of the shallow one, the deeper one lies between two nodes
+def test_line_search_equal_wells_resolve_to_the_smallest_theta(monkeypatch):
+    # a synthetic theta line with equal wells on two coarse nodes, as functions
+    # of n_z = cos 2theta, exactly 0 at both: the smaller theta wins
     import qcorr.correlations as corr
 
     node = corr.GRID_THETA
-    shallow, deep = float(node[8]), float(node[20] + node[1] / 2.0)
+    shallow = float(node[8])
+    wells = np.cos(2.0 * node[[8, 20]])
 
-    def two_wells(g, thetas, phis):
-        t = np.asarray(thetas)
-        return np.minimum(10.0 * (t - shallow) ** 2, (t - deep) ** 2 - 1e-6)
+    def two_wells(g, n):
+        return np.minimum((n[..., 2] - wells[0]) ** 2, (n[..., 2] - wells[1]) ** 2)
 
-    g = corr._bloch_map(bell_initial_state())
     monkeypatch.setattr(corr, "_conditional_entropy", two_wells)
-    assert two_wells(None, node, 0.0).argmin() == 8
-    basis, value = corr._minimize_x(g, 0.0)
-    assert abs(basis.theta - deep) <= 1e-8
-    assert value == pytest.approx(-1e-6, abs=1e-15)
-
-    # equal wells on two grid nodes: the smaller theta wins
-    monkeypatch.setattr(corr, "_conditional_entropy",
-                        lambda g, thetas, phis: np.minimum((thetas - shallow) ** 2, (thetas - node[20]) ** 2))
-    basis, value = corr._minimize_x(g, 0.0)
-    assert (basis.theta, value) == (shallow, 0.0)
+    basis, value = corr._minimize(bell_initial_state())  # X-shaped, phi* = 0
+    assert (basis, value) == (MeasurementBasis(shallow, 0.0), 0.0)
 
 
-@pytest.mark.parametrize("spill, route", [(0.99e-10, "_minimize_x"), (1.01e-10, "_minimize_grid")])
-def test_spill_selects_the_discord_route(monkeypatch, spill, route):
+@pytest.mark.parametrize("spill, coarse", [(0.99e-10, "line"), (1.01e-10, "grid")])
+def test_spill_selects_the_coarse_set(monkeypatch, spill, coarse):
     import qcorr.correlations as corr
 
     rho = thermal_state(ThermalPoint(ModelParams(0.2, 0.4, 0.8, 1.0), 1.0))
     rho[0, 1] = spill
     rho[1, 0] = spill
     calls = []
-    for name in ("_minimize_x", "_minimize_grid"):
-        fn = getattr(corr, name)
-        monkeypatch.setattr(corr, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    search = corr._search
+
+    def spy(g, vectors, angles, stencil):
+        calls.append((vectors.shape, stencil.shape))
+        return search(g, vectors, angles, stencil)
+
+    monkeypatch.setattr(corr, "_search", spy)
     _, value = _minimize(rho)
     report = correlation_report(rho)
-    assert calls == [route, route]
+    # the theta line with the line stencil, or the full grid with the plane stencil
+    expected = {"line": ((33, 3), (17, 2)), "grid": ((4224, 3), (289, 2))}[coarse]
+    assert calls == [expected, expected]
     assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
     assert report.classical_correlation == pytest.approx(
         eigvalsh_entropy(reduced_state(rho, "A")) - value, abs=1e-12)
@@ -430,7 +443,7 @@ def test_report_bell():
     assert rep.quantum_discord == pytest.approx(1.0, abs=1e-9)
     for value in (rep.concurrence, rep.mutual_information, rep.classical_correlation, rep.quantum_discord):
         assert type(value) is float
-    # the argmin angles are plain floats on the X route (theta > 0, phi from phi*) and the grid route
+    # the argmin angles are plain floats at a tied coarse node and at a refined point
     for rho in (werner_state(0.9), random_density_matrix(np.random.default_rng(199))):
         b = correlation_report(rho).argmin_basis
         assert type(b.theta) is float and type(b.phi) is float
