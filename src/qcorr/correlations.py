@@ -54,6 +54,20 @@ theta, then phi, within 1e-12 of the coarse minimum is reported at its
 own angles if it is still within 1e-12 of the final minimum, else the
 refined point is; the reported S_min is the minimum itself.
 
+An X-shaped state with |rho11 - rho44| and |rho22 - rho33| at most
+``_LUO_TOL`` = 1e-15, as every Gibbs state of the model is, needs no
+search.  A local z rotation makes such a state Bell-diagonal, and Luo's
+theorem puts S_min on the axis of largest |c_i|, which at phi* is the
+theta = 0 or the theta = pi/4 end of the line.  So ``_minimize`` evaluates
+both ends and returns the smaller, reported at (0, 0) when
+S(0) <= S(pi/4) + 1e-12 and at (pi/4, phi*) otherwise.  The tolerance
+absorbs the round-off of a built state: it is within trace distance 1e-15
+of a symmetric one, which moves every measured conditional entropy by at
+most about 5e-14 bits (Alicki-Fannes-Winter), so the exit may exceed
+S_min by about 1e-13 and is never below it.  The better end is not the
+minimum of a general X state (Huang, PRA 88, 014302 (2013)), so any other
+state is searched.
+
 ``correlation_report`` validates its input once; everything behind it
 takes a checked state.  Everything here is pure and deterministic.
 """
@@ -71,6 +85,8 @@ _Y4 = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype
 _Y4.setflags(write=False)
 
 X_SHAPE_TOL = 1e-10
+# |rho11 - rho44| and |rho22 - rho33| at most this: Luo's two-evaluation exit
+_LUO_TOL = 1e-15
 
 
 def _bloch_vectors(thetas, phis) -> np.ndarray:
@@ -181,6 +197,8 @@ def _minimize(rho: np.ndarray):
     """(MeasurementBasis, S_min) of a validated state: the theta line at phi* if X-shaped, else the grid.
 
     phi* is 0 where it cannot change the measurement (rho14 = rho23 = 0).
+    An X state that Luo's theorem covers takes the line's two ends instead
+    of the search (module docstring).
     """
     g = _bloch_map(rho)
     if _off_x_spill(rho) > X_SHAPE_TOL:
@@ -188,6 +206,12 @@ def _minimize(rho: np.ndarray):
     phi = 0.0
     if abs(rho[0, 3]) + abs(rho[1, 2]) > 0.0:
         phi = _fold_phi((np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0)
+    # rho22 first: a dephased Bell pair (rho11 = rho44 = 0) leaves after one comparison
+    if abs(rho[1, 1] - rho[2, 2]) <= _LUO_TOL and abs(rho[0, 0] - rho[3, 3]) <= _LUO_TOL:
+        s0, s1 = _conditional_entropy(g, _bloch_vectors(GRID_THETA[[0, -1]], phi)).tolist()
+        if s0 <= s1 + 1e-12:
+            return MeasurementBasis(0.0, 0.0), min(s0, s1)
+        return MeasurementBasis(np.pi / 4.0, phi), s1
     line = np.stack(np.broadcast_arrays(GRID_THETA, phi), axis=1)
     return _search(g, _bloch_vectors(*line.T), line, _LINE)
 
@@ -232,10 +256,11 @@ def _search(g: np.ndarray, coarse: np.ndarray, angles: np.ndarray, stencil: np.n
 
 
 def correlation_report(rho: np.ndarray) -> CorrelationReport:
-    """All four measures of one state, from one eigendecomposition and one basis search.
+    """All four measures of one state, from one eigendecomposition and one discord minimization.
 
     The concurrence takes the singular-value route for every state; only
-    the discord search depends on the state's shape (``_minimize``).
+    the discord minimization depends on the state's shape (``_minimize``):
+    two evaluations where Luo's theorem applies, one search elsewhere.
     0 <= CC <= I and 0 <= QD <= I hold exactly: I >= 0 is subadditivity,
     CC >= 0 holds because no measurement leaves more conditional entropy
     than S(rho_A) (concavity), and CC <= I is QD >= 0, so each clip only

@@ -13,6 +13,7 @@ from qcorr.correlations import (
     _minimize,
     correlation_report,
 )
+from qcorr.cli import parse_config
 from qcorr.linalg import validated_spectrum
 from qcorr.model import (
     DecoherenceParams,
@@ -22,10 +23,12 @@ from qcorr.model import (
     milburn_evolve,
     thermal_state,
 )
+from qcorr.sweep import run_sweep
 
 from oracles import (
     SY,
     bell_diagonal_exact,
+    bell_diagonal_state,
     dense_grid_min_conditional_entropy,
     eigvalsh_entropy,
     explicit_conditional_entropy,
@@ -367,18 +370,18 @@ def test_line_search_equal_wells_resolve_to_the_smallest_theta(monkeypatch):
     def two_wells(g, n):
         return np.minimum((n[..., 2] - wells[0]) ** 2, (n[..., 2] - wells[1]) ** 2)
 
+    # X-shaped with rho22 != rho33, so the line search runs, and phi* = 0
+    rho = np.diag([0.0, 0.6, 0.4, 0.0]).astype(complex)
+    rho[1, 2] = rho[2, 1] = 0.45
     monkeypatch.setattr(corr, "_conditional_entropy", two_wells)
-    basis, value = corr._minimize(bell_initial_state())  # X-shaped, phi* = 0
+    basis, value = corr._minimize(rho)
     assert (basis, value) == (MeasurementBasis(shallow, 0.0), 0.0)
 
 
-@pytest.mark.parametrize("spill, coarse", [(0.99e-10, "line"), (1.01e-10, "grid")])
-def test_spill_selects_the_coarse_set(monkeypatch, spill, coarse):
+def _search_calls(monkeypatch):
+    """The list to which each later ``_search`` call appends its coarse set's and stencil's shapes."""
     import qcorr.correlations as corr
 
-    rho = thermal_state(ThermalPoint(ModelParams(0.2, 0.4, 0.8, 1.0), 1.0))
-    rho[0, 1] = spill
-    rho[1, 0] = spill
     calls = []
     search = corr._search
 
@@ -387,6 +390,17 @@ def test_spill_selects_the_coarse_set(monkeypatch, spill, coarse):
         return search(g, vectors, angles, stencil)
 
     monkeypatch.setattr(corr, "_search", spy)
+    return calls
+
+
+@pytest.mark.parametrize("spill, coarse", [(0.99e-10, "line"), (1.01e-10, "grid")])
+def test_spill_selects_the_coarse_set(monkeypatch, spill, coarse):
+    # a dephased Bell pair at Dz != 0 and t > 0 has rho22 != rho33, so no exit skips the search
+    dp = DecoherenceParams(ModelParams(0.2, 0.4, 0.8, 1.0), 0.1, 1.0)
+    rho = milburn_evolve(dp, bell_initial_state())
+    rho[0, 1] = spill
+    rho[1, 0] = spill
+    calls = _search_calls(monkeypatch)
     _, value = _minimize(rho)
     report = correlation_report(rho)
     # the theta line with the line stencil, or the full grid with the plane stencil
@@ -395,6 +409,96 @@ def test_spill_selects_the_coarse_set(monkeypatch, spill, coarse):
     assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
     assert report.classical_correlation == pytest.approx(
         eigvalsh_entropy(reduced_state(rho, "A")) - value, abs=1e-12)
+
+
+def test_model_gibbs_states_take_the_luo_exit(monkeypatch):
+    # every Gibbs state has rho11 = rho44 and rho22 = rho33 within round-off,
+    # so two evaluations at phi* replace the search on every fig1 row
+    calls = _search_calls(monkeypatch)
+    table = run_sweep(parse_config(["thermal", "--preset", "fig1", "--out", "fig1.csv"]))
+    assert len(table) == 6161
+    rng = np.random.default_rng(211)
+    for _ in range(200):
+        p = ModelParams(*rng.uniform(-3.0, 3.0, size=4))
+        correlation_report(thermal_state(ThermalPoint(p, float(rng.uniform(0.05, 3.0)))))
+    assert calls == []
+
+
+def test_asymmetric_x_states_reach_the_search(monkeypatch):
+    calls = _search_calls(monkeypatch)
+    rng = np.random.default_rng(223)
+    states = [*_interior_minimum_states(), *(random_x_state(rng) for _ in range(100))]
+    dp = DecoherenceParams(ModelParams(0.2, 0.4, 0.8, 1.0), 0.1, 1.0)
+    states.append(milburn_evolve(dp, bell_initial_state()))  # rho22 != rho33
+    for k in (0, 1):  # a Werner state just past the exit's 1e-15 on either pair
+        rho = werner_state(0.5)
+        rho[k, k] += 2e-15
+        states.append(rho)
+    for i, rho in enumerate(states):
+        _minimize(rho)
+        assert len(calls) == i + 1
+
+
+def _symmetric_x_states(rng, count):
+    """X states with rho11 = rho44 and rho22 = rho33 up to the largest asymmetry the exit takes.
+
+    Every fourth one is near-pure: one pair of populations close to 1/2 and
+    its coherence close to the largest a state allows.
+    """
+    from qcorr.correlations import _LUO_TOL
+
+    for i in range(count):
+        # rho11 = rho44 = a, and |rho14|, |rho23| as shares r of their largest values
+        a, r = 0.5 * rng.random(), rng.random(2)
+        if i % 4 == 0:
+            a, r[0] = 0.5 - 10.0 ** -rng.uniform(3.0, 12.0), 1.0 - 10.0 ** -rng.uniform(6.0, 14.0)
+            if i % 8 == 0:  # near-pure on the other pair
+                a, r = 0.5 - a, r[::-1]
+        b = 0.5 - a
+        rho = np.diag([a, b, b, a]).astype(complex)
+        rho[0, 3] = r[0] * a * np.exp(2j * np.pi * rng.random())
+        rho[1, 2] = r[1] * b * np.exp(2j * np.pi * rng.random())
+        rho[3, 0], rho[2, 1] = rho[0, 3].conjugate(), rho[1, 2].conjugate()
+        for k in (0, 1):
+            shifted = rho[k, k].real + rng.choice([-1.0, 0.0, 1.0]) * _LUO_TOL
+            if abs(shifted - rho[3 - k, 3 - k].real) > _LUO_TOL:  # round-off past the tolerance
+                shifted = np.nextafter(shifted, rho[3 - k, 3 - k].real)
+            rho[k, k] = shifted
+        yield rho
+
+
+def test_luo_exit_stays_within_round_off_of_the_search(monkeypatch):
+    # A diagonal asymmetry of 1e-15 moves every measured conditional entropy by
+    # at most about 5e-14 (the Alicki-Fannes-Winter bound), so the exit may
+    # exceed the true minimum by about twice that, and never falls below it
+    import qcorr.correlations as corr
+
+    calls = _search_calls(monkeypatch)
+    for rho in _symmetric_x_states(np.random.default_rng(227), 400):
+        _, exit_value = _minimize(rho)
+        assert calls == []
+        with monkeypatch.context() as m:
+            m.setattr(corr, "_LUO_TOL", -1.0)  # the same state through the line search
+            _, line_value = _minimize(rho)
+        _, grid_value = corr._search(_bloch_map(rho), corr._GRID, corr._GRID_ANGLES, corr._PLANE)
+        calls.clear()
+        assert line_value <= exit_value <= min(line_value, grid_value) + 1e-13
+
+
+def test_luo_exit_reports_the_axis_of_the_largest_correlation():
+    # a Werner state is flat over the sphere, and ties within 1e-12 go to (0, 0)
+    for p in (0.0, 0.3, 0.5, 0.9, 1.0):
+        assert _minimize(werner_state(p))[0] == MeasurementBasis(0.0, 0.0)
+    # |c1| is largest, so sigma_x is optimal; a z phase alpha on qubit B turns
+    # it to phi* = alpha, and one on qubit A changes nothing
+    c = (0.7, -0.3, 0.2)
+    smin = bell_diagonal_exact(*c)["smin"]
+    for alpha in (0.3, 1.0, 2.5, 5.5):
+        u = np.kron(np.diag([1.0, np.exp(0.4j)]), np.diag([1.0, np.exp(1j * alpha)]))
+        basis, value = _minimize(u @ bell_diagonal_state(*c) @ u.conj().T)
+        assert basis.theta == np.pi / 4.0
+        assert basis.phi == pytest.approx(alpha, abs=1e-12)
+        assert value == pytest.approx(smin, abs=1e-12)
 
 
 def test_classical_correlation_trivial_states():
