@@ -29,44 +29,44 @@ M(n) = tr_B[rho (1 x (1 + n.sigma)/2)], is affine in n (Luo, PRA 77,
 the real 4x4 map g of the state (``_bloch_map``) takes (1, n) to the
 entries of M(n) and (1, -n) to those of M(-n).
 
-One search (``_search``) minimizes it; the state's shape picks only its
-coarse set.  An X-shaped state (every entry off the diagonal and
-anti-diagonal at most ``X_SHAPE_TOL``) gets the 33 vectors of the theta
-line at the phase phi* = (arg rho23 - arg rho14)/2, which is optimal for
-every theta (Chen, Zhang, Yu, Yi & Oh, PRA 84, 042313 (2011)): phi leaves
-the diagonals of M(+-n) unchanged, and phi* gives their common
-off-diagonal modulus |cos(theta) sin(theta) (e^{i phi} rho14 +
-e^{-i phi} rho23)| its largest value, which spreads each block's
-eigenvalues furthest and so lowers both entropies.  Any other state gets
-the 33 x 128 (theta, phi) grid (``GRID_THETA`` x ``GRID_PHI``),
-precomputed as unit vectors.  (pi/2 - theta, phi + pi) is -n, the same
-measurement with its outcomes swapped, so both sets cover theta in
-[0, pi/4] only.  The search refines the coarse argmin n0 in one fixed
-chart of the plane tangent to the sphere at n0: each trial point is
-n0 + a e_theta + b e_phi scaled back onto the sphere, with (a, b) on a
-17-point line stencil (b = 0) for the theta line or a 17 x 17 plane
-stencil for the grid, so the refinement passes through the poles and
-through phi = 0 and may cross pi/4.  A trial point replaces the incumbent
-only when strictly lower, so the value never exceeds any coarse sample.
-theta and phi are read back from the final vector once, and phi is
-reported as 0 at theta = 0.  One tie rule: the coarse point of smallest
-theta, then phi, within 1e-12 of the coarse minimum is reported at its
-own angles if it is still within 1e-12 of the final minimum, else the
-refined point is; the reported S_min is the minimum itself.
-
-An X-shaped state with |rho11 - rho44| and |rho22 - rho33| at most
+An X-shaped state (every entry off the diagonal and anti-diagonal at most
+``X_SHAPE_TOL``) with |rho11 - rho44| and |rho22 - rho33| at most
 ``_LUO_TOL`` = 1e-15, as every Gibbs state of the model is, needs no
 search.  A local z rotation makes such a state Bell-diagonal, and Luo's
-theorem puts S_min on the axis of largest |c_i|, which at phi* is the
-theta = 0 or the theta = pi/4 end of the line.  So ``_minimize`` evaluates
-both ends and returns the smaller, reported at (0, 0) when
-S(0) <= S(pi/4) + 1e-12 and at (pi/4, phi*) otherwise.  The tolerance
-absorbs the round-off of a built state: it is within trace distance 1e-15
-of a symmetric one, which moves every measured conditional entropy by at
-most about 5e-14 bits (Alicki-Fannes-Winter), so the exit may exceed
-S_min by about 1e-13 and is never below it.  The better end is not the
-minimum of a general X state (Huang, PRA 88, 014302 (2013)), so any other
-state is searched.
+theorem puts S_min on the axis of largest |c_i|, which lies at theta = 0 or
+at theta = pi/4 and the phase phi* = (arg rho23 - arg rho14)/2.  phi* is
+optimal for every theta of an X state (Chen, Zhang, Yu, Yi & Oh, PRA 84,
+042313 (2011)): phi leaves the diagonals of M(+-n) unchanged, and phi*
+gives their common off-diagonal modulus |cos(theta) sin(theta)
+(e^{i phi} rho14 + e^{-i phi} rho23)| its largest value, which spreads each
+block's eigenvalues furthest and so lowers both entropies.  So
+``_minimize`` evaluates both axes and returns the smaller, reported at
+(0, 0) when S(0) <= S(pi/4) + 1e-12 and at (pi/4, phi*) otherwise.  The
+tolerance absorbs the round-off of a built state: it is within trace
+distance 1e-15 of a symmetric one, which moves every measured conditional
+entropy by at most about 5e-14 bits (Alicki-Fannes-Winter), so the exit
+may exceed S_min by about 1e-13 and is never below it.  The better axis is
+not the minimum of a general X state (Huang, PRA 88, 014302 (2013)).
+
+Every other state, X-shaped or not, goes through one search
+(``_search``) over one coarse set: the 33 x 128 (theta, phi) grid
+(``GRID_THETA`` x ``GRID_PHI``), precomputed as unit vectors.
+(pi/2 - theta, phi + pi) is -n, the same measurement with its outcomes
+swapped, so the grid covers theta in [0, pi/4] only.  The search refines
+the coarse argmin n0 in one fixed chart of the plane tangent to the sphere
+at n0: each trial point is n0 + a e_theta + b e_phi scaled back onto the
+sphere, with (a, b) on a 17 x 17 stencil, so the refinement passes through
+the poles and through phi = 0 and may cross pi/4.  A trial point replaces
+the incumbent only when strictly lower, so the value never exceeds any
+coarse sample, and once the incumbent is exactly 0 (each entropy term is
+clipped at 0) no round can change it and the refinement stops; the
+dephased Bell pair, which measuring sigma_z on B leaves with A pure, stops
+after the coarse pass.  theta and phi are read back from the final vector
+once, and phi is reported as 0 at theta = 0.  One tie rule: the coarse
+point of smallest theta, then phi, within 1e-12 of the coarse minimum is
+reported at its own angles if it is still within 1e-12 of the final
+minimum, else the refined point is; the reported S_min is the minimum
+itself.
 
 ``correlation_report`` validates its input once; everything behind it
 takes a checked state.  Everything here is pure and deterministic.
@@ -101,13 +101,12 @@ GRID_THETA = np.linspace(0.0, np.pi / 4.0, 33)
 GRID_PHI = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 _GRID_ANGLES = np.stack(np.meshgrid(GRID_THETA, GRID_PHI, indexing="ij"), axis=-1).reshape(-1, 2)
 _GRID = _bloch_vectors(*_GRID_ANGLES.T)
-# refinement stencils in tangent-chart offsets (a, b): 17 offsets spanning
-# +-2 current spacings along e_theta (the line), or along both axes (the plane)
+# refinement stencil in tangent-chart offsets (a, b): 17 x 17 offsets spanning
+# +-2 current spacings along both axes
 _STENCIL = np.linspace(-2.0, 2.0, 17)
-_LINE = np.stack((_STENCIL, np.zeros_like(_STENCIL)), axis=1)
 _PLANE = np.stack(np.meshgrid(_STENCIL, _STENCIL, indexing="ij"), axis=-1).reshape(-1, 2)
 _REFINE_MIN_STEP = 1e-9
-for _a in (GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _LINE, _PLANE):
+for _a in (GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _PLANE):
     _a.setflags(write=False)
 
 
@@ -194,26 +193,22 @@ def _conditional_entropy(g: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _minimize(rho: np.ndarray):
-    """(MeasurementBasis, S_min) of a validated state: the theta line at phi* if X-shaped, else the grid.
+    """(MeasurementBasis, S_min) of a validated state: Luo's two evaluations where they apply, else the search.
 
     phi* is 0 where it cannot change the measurement (rho14 = rho23 = 0).
-    An X state that Luo's theorem covers takes the line's two ends instead
-    of the search (module docstring).
     """
     g = _bloch_map(rho)
-    if _off_x_spill(rho) > X_SHAPE_TOL:
-        return _search(g, _GRID, _GRID_ANGLES, _PLANE)
-    phi = 0.0
-    if abs(rho[0, 3]) + abs(rho[1, 2]) > 0.0:
-        phi = _fold_phi((np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0)
     # rho22 first: a dephased Bell pair (rho11 = rho44 = 0) leaves after one comparison
-    if abs(rho[1, 1] - rho[2, 2]) <= _LUO_TOL and abs(rho[0, 0] - rho[3, 3]) <= _LUO_TOL:
+    if (abs(rho[1, 1] - rho[2, 2]) <= _LUO_TOL and abs(rho[0, 0] - rho[3, 3]) <= _LUO_TOL
+            and _off_x_spill(rho) <= X_SHAPE_TOL):
+        phi = 0.0
+        if abs(rho[0, 3]) + abs(rho[1, 2]) > 0.0:
+            phi = _fold_phi((np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0)
         s0, s1 = _conditional_entropy(g, _bloch_vectors(GRID_THETA[[0, -1]], phi)).tolist()
         if s0 <= s1 + 1e-12:
             return MeasurementBasis(0.0, 0.0), min(s0, s1)
         return MeasurementBasis(np.pi / 4.0, phi), s1
-    line = np.stack(np.broadcast_arrays(GRID_THETA, phi), axis=1)
-    return _search(g, _bloch_vectors(*line.T), line, _LINE)
+    return _search(g, _GRID, _GRID_ANGLES, _PLANE)
 
 
 def _fold_phi(phi) -> float:
@@ -227,7 +222,8 @@ def _search(g: np.ndarray, coarse: np.ndarray, angles: np.ndarray, stencil: np.n
     Trial points n0 + a e_theta + b e_phi, scaled back onto the sphere, lie
     in one fixed chart at the coarse argmin n0, at (a, b) = incumbent +
     2 dt stencil; dt, the arc of one theta spacing (the polar angle is
-    2 theta), shrinks 4x per round until it is below 1e-9.
+    2 theta), shrinks 4x per round until it is below 1e-9 or the
+    incumbent is 0, which no trial can beat.
     """
     coarse_vals = _conditional_entropy(g, coarse)
     k = int(np.argmin(coarse_vals))
@@ -239,7 +235,7 @@ def _search(g: np.ndarray, coarse: np.ndarray, angles: np.ndarray, stencil: np.n
     steps = stencil @ np.array([[c * cp, c * sp, -s], [-sp, cp, 0.0]])  # a e_theta + b e_phi
     n = incumbent = coarse[k]  # n0, and then its point in the plane tangent at n0
     dt = float(GRID_THETA[1])
-    while dt >= _REFINE_MIN_STEP:
+    while best_val > 0.0 and dt >= _REFINE_MIN_STEP:
         v = incumbent + 2.0 * dt * steps
         trial = v / np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
         vals = _conditional_entropy(g, trial)

@@ -26,6 +26,7 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -128,7 +129,9 @@ class SweepConfig:
                 raise ConfigError(f"--gamma must be >= 0, got {self.gamma}")
         rows = (self.dz_range.count if self.dz_range is not None else 1) * self.axis.count
         if rows > MAX_GRID_ROWS:
-            raise ConfigError(f"grid of {rows} rows exceeds the limit of {MAX_GRID_ROWS}")
+            # a count past 1e308 overflows a float, so the short form comes from Decimal
+            shown = rows if rows < 10**9 else f"{Decimal(rows):.0e}"
+            raise ConfigError(f"grid of {shown} rows exceeds the limit of {MAX_GRID_ROWS}")
         # a step below the float spacing of the values rounds onto the same point
         for flag, r in (("--dz-range", self.dz_range), (axis_flag, self.axis)):
             if r is not None and (np.diff(r.values()) <= 0.0).any():

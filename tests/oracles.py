@@ -290,6 +290,26 @@ def gibbs_bell_diagonal_exact(params, temperature):
     return out
 
 
+def gibbs_sudden_change_dz(params):
+    """Dz* > 0 where the optimal measurement of the Gibbs state switches from sz to sx, at every T.
+
+    Regime: 2Jz - |Jx-Jy| > |Jx+Jy|.  With w_i = exp(-E_i/T) for the levels
+    E1,2 = (Jz +- (Jx-Jy))/2 and E3,4 = (-Jz -+ mu)/2,
+    mu = sqrt((Jx+Jy)^2 + 4 Dz^2), the locally Bell-diagonal form of the
+    state (``gibbs_bell_diagonal_exact``) has c1 = (|w1-w2| + |w3-w4|)/Z and
+    c3 = (w1+w2-w3-w4)/Z, and |c2| <= c1.  Luo's theorem measures sz while
+    |c3| > c1.  Where the inner block holds more weight, |c3| = c1 reduces
+    to max(w1, w2) = w4, the level crossing mu = 2Jz - |Jx-Jy|, which does
+    not involve T: sz is optimal below Dz* = sqrt((2Jz - |Jx-Jy|)^2 -
+    (Jx+Jy)^2) / 2 and sx at phi* above it (the sudden change of Maziero,
+    Celeri, Serra & Vedral, PRA 80, 044102 (2009)).  params.dz is ignored.
+    """
+    crossing = 2.0 * params.jz - abs(params.jx - params.jy)
+    if crossing <= abs(params.jx + params.jy):
+        raise ValueError("no sudden change: 2Jz - |Jx-Jy| <= |Jx+Jy|")
+    return 0.5 * float(np.sqrt(crossing**2 - (params.jx + params.jy) ** 2))
+
+
 def dephased_bell_concurrence(params, gamma, t):
     """Concurrence of the Bell pair (|01>+|10>)/sqrt(2) under intrinsic decoherence.
 

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from qcorr.correlations import (
+    GRID_THETA,
     MeasurementBasis,
+    _GRID,
+    _GRID_ANGLES,
+    _PLANE,
     _bloch_map,
     _bloch_vectors,
     _concurrence,
     _conditional_entropy,
     _entropy_terms,
+    _fold_phi,
     _minimize,
+    _search,
     correlation_report,
 )
 from qcorr.cli import parse_config
@@ -32,6 +38,7 @@ from oracles import (
     dense_grid_min_conditional_entropy,
     eigvalsh_entropy,
     explicit_conditional_entropy,
+    gibbs_sudden_change_dz,
     random_bell_diagonal,
     random_density_matrix,
     random_rank2_x_state,
@@ -275,8 +282,6 @@ def test_conditional_entropy_invariant_under_outcome_swap():
 
 
 def test_x_state_reduction_matches_explicit_sandwich():
-    from qcorr.correlations import _fold_phi
-
     rng = np.random.default_rng(181)
     for _ in range(250):
         rho = random_x_state(rng)
@@ -320,16 +325,30 @@ def test_x_state_oracle_has_interior_minima():
         assert x_state_min_conditional_entropy(rho) < ends.min() - gap
 
 
-def test_minimize_matches_x_state_oracle():
-    from qcorr.correlations import _GRID, _GRID_ANGLES, _PLANE, _search
+# a 17-point stencil along e_theta only, for the theta line
+_LINE_STENCIL = np.stack((np.linspace(-2.0, 2.0, 17), np.zeros(17)), axis=1)
 
+
+def line_search(rho):
+    """(MeasurementBasis, S_min) of an X state from ``_search`` over the 33-point theta line at phi*.
+
+    phi* is optimal for every theta of an X state (Chen et al., PRA 84,
+    042313 (2011)), so the line search is a reference for the grid search
+    that production runs.
+    """
+    phi = _fold_phi(x_state_phase(rho)) if abs(rho[0, 3]) + abs(rho[1, 2]) > 0.0 else 0.0
+    line = np.stack(np.broadcast_arrays(GRID_THETA, phi), axis=1)
+    return _search(_bloch_map(rho), _bloch_vectors(*line.T), line, _LINE_STENCIL)
+
+
+def test_minimize_matches_x_state_oracle():
     for rho in _x_states_for_discord():
         basis, value = _minimize(rho)
         oracle = x_state_min_conditional_entropy(rho)
         assert oracle - 1e-9 <= value <= oracle + 1e-12
-        # the theta line at phi* loses nothing to the plane search over the grid
-        _, grid_value = _search(_bloch_map(rho), _GRID, _GRID_ANGLES, _PLANE)
-        assert value <= grid_value + 1e-14
+        # the grid search loses nothing to the theta line at phi*
+        _, line_value = line_search(rho)
+        assert value <= line_value + 1e-14
         # the general evaluator at the returned basis, phi* included, agrees
         assert abs(measured_entropy(rho, basis.theta, basis.phi) - value) <= 1e-12
 
@@ -358,9 +377,10 @@ def test_grid_route_finds_minima_near_the_pole():
         assert abs(measured_entropy(rotated, basis.theta, basis.phi) - value) <= 1e-12
 
 
-def test_line_search_equal_wells_resolve_to_the_smallest_theta(monkeypatch):
-    # a synthetic theta line with equal wells on two coarse nodes, as functions
-    # of n_z = cos 2theta, exactly 0 at both: the smaller theta wins
+def test_grid_search_equal_wells_resolve_to_the_smallest_theta(monkeypatch):
+    # a synthetic landscape with equal wells on two coarse theta nodes, as
+    # functions of n_z = cos 2theta, exactly 0 at both: the smaller theta wins,
+    # at phi = 0, the first of the grid's tied phi
     import qcorr.correlations as corr
 
     node = corr.GRID_THETA
@@ -370,7 +390,7 @@ def test_line_search_equal_wells_resolve_to_the_smallest_theta(monkeypatch):
     def two_wells(g, n):
         return np.minimum((n[..., 2] - wells[0]) ** 2, (n[..., 2] - wells[1]) ** 2)
 
-    # X-shaped with rho22 != rho33, so the line search runs, and phi* = 0
+    # X-shaped with rho22 != rho33, so the grid search runs
     rho = np.diag([0.0, 0.6, 0.4, 0.0]).astype(complex)
     rho[1, 2] = rho[2, 1] = 0.45
     monkeypatch.setattr(corr, "_conditional_entropy", two_wells)
@@ -393,19 +413,20 @@ def _search_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("spill, coarse", [(0.99e-10, "line"), (1.01e-10, "grid")])
-def test_spill_selects_the_coarse_set(monkeypatch, spill, coarse):
-    # a dephased Bell pair at Dz != 0 and t > 0 has rho22 != rho33, so no exit skips the search
-    dp = DecoherenceParams(ModelParams(0.2, 0.4, 0.8, 1.0), 0.1, 1.0)
-    rho = milburn_evolve(dp, bell_initial_state())
+@pytest.mark.parametrize("spill, searched", [(0.99e-10, False), (1.01e-10, True)])
+def test_x_shape_tol_gates_the_luo_exit(monkeypatch, spill, searched):
+    # a Bell-diagonal state has rho11 = rho44 and rho22 = rho33 exactly; an
+    # entry off the X shape past X_SHAPE_TOL sends it to the grid search
+    from qcorr.correlations import X_SHAPE_TOL
+
+    rho = bell_diagonal_state(0.7, -0.3, 0.2)
     rho[0, 1] = spill
     rho[1, 0] = spill
+    assert (spill > X_SHAPE_TOL) == searched
     calls = _search_calls(monkeypatch)
     _, value = _minimize(rho)
+    assert calls == ([((4224, 3), (289, 2))] if searched else [])
     report = correlation_report(rho)
-    # the theta line with the line stencil, or the full grid with the plane stencil
-    expected = {"line": ((33, 3), (17, 2)), "grid": ((4224, 3), (289, 2))}[coarse]
-    assert calls == [expected, expected]
     assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
     assert report.classical_correlation == pytest.approx(
         eigvalsh_entropy(reduced_state(rho, "A")) - value, abs=1e-12)
@@ -439,6 +460,45 @@ def test_asymmetric_x_states_reach_the_search(monkeypatch):
         assert len(calls) == i + 1
 
 
+def _evaluation_calls(monkeypatch):
+    """The list to which each later ``_conditional_entropy`` call appends the shape of its vectors."""
+    import qcorr.correlations as corr
+
+    calls = []
+    evaluate = corr._conditional_entropy
+
+    def spy(g, n):
+        calls.append(n.shape)
+        return evaluate(g, n)
+
+    monkeypatch.setattr(corr, "_conditional_entropy", spy)
+    return calls
+
+
+def test_search_stops_once_the_minimum_is_zero(monkeypatch):
+    # A dephased Bell pair at Dz != 0 and t > 0 has rho22 != rho33, so it is
+    # searched; measuring sigma_z on B leaves A pure, so S = 0 at the pole,
+    # the global minimum, and no refinement round can go strictly below it.
+    # The clip of round-off in _entropy_terms can turn a true S of order
+    # 1e-16 into this 0, which is inside every tolerance.
+    calls = _evaluation_calls(monkeypatch)
+    dp = DecoherenceParams(ModelParams(0.2, 0.4, 0.8, 1.0), 0.1, 1.0)
+    assert _minimize(milburn_evolve(dp, bell_initial_state())) == (MeasurementBasis(0.0, 0.0), 0.0)
+    assert calls == [(4224, 3)]
+
+
+def test_search_above_zero_runs_every_round(monkeypatch):
+    # a rank-2 X state leaves A mixed after sigma_z on B, so S > 0 at the pole
+    # and the refinement runs all 13 rounds, dt = pi/128 down to 1e-9
+    rho = random_rank2_x_state(np.random.default_rng(229))
+    assert measured_entropy(rho, 0.0, 0.0) > 1e-3
+    calls = _evaluation_calls(monkeypatch)
+    _, value = _minimize(rho)
+    assert calls == [(4224, 3)] + [(289, 3)] * 13
+    oracle = x_state_min_conditional_entropy(rho)
+    assert oracle - 1e-9 <= value <= oracle + 1e-12
+
+
 def _symmetric_x_states(rng, count):
     """X states with rho11 = rho44 and rho22 = rho33 up to the largest asymmetry the exit takes.
 
@@ -470,18 +530,15 @@ def _symmetric_x_states(rng, count):
 def test_luo_exit_stays_within_round_off_of_the_search(monkeypatch):
     # A diagonal asymmetry of 1e-15 moves every measured conditional entropy by
     # at most about 5e-14 (the Alicki-Fannes-Winter bound), so the exit may
-    # exceed the true minimum by about twice that, and never falls below it
-    import qcorr.correlations as corr
-
+    # exceed the true minimum by about twice that, and never falls below it.
+    # The lower bound is the theta line: the grid search reads 1 ulp above
+    # the exit on one of these states.
     calls = _search_calls(monkeypatch)
     for rho in _symmetric_x_states(np.random.default_rng(227), 400):
         _, exit_value = _minimize(rho)
         assert calls == []
-        with monkeypatch.context() as m:
-            m.setattr(corr, "_LUO_TOL", -1.0)  # the same state through the line search
-            _, line_value = _minimize(rho)
-        _, grid_value = corr._search(_bloch_map(rho), corr._GRID, corr._GRID_ANGLES, corr._PLANE)
-        calls.clear()
+        _, line_value = line_search(rho)
+        _, grid_value = _search(_bloch_map(rho), _GRID, _GRID_ANGLES, _PLANE)
         assert line_value <= exit_value <= min(line_value, grid_value) + 1e-13
 
 
@@ -499,6 +556,44 @@ def test_luo_exit_reports_the_axis_of_the_largest_correlation():
         assert basis.theta == np.pi / 4.0
         assert basis.phi == pytest.approx(alpha, abs=1e-12)
         assert value == pytest.approx(smin, abs=1e-12)
+
+
+def _gibbs_luo_margin(params, temperature):
+    """(Gibbs state, S(0) - S(pi/4) at phi*) from the X-state oracle."""
+    rho = thermal_state(ThermalPoint(params, temperature))
+    s0, s1 = x_state_conditional_entropy(rho, np.array([0.0, np.pi / 4.0]))
+    return rho, s0 - s1
+
+
+def _assert_sudden_change(jx, jy, jz, temperature, margin_floor=None):
+    """Production reports sigma_z just below Dz* and sigma_x at phi* just above; False if skipped.
+
+    With margin_floor set, a state whose Luo margin lies within it of 0 on
+    either side is skipped, because the tie rule reports it at (0, 0).
+    """
+    dz_star = gibbs_sudden_change_dz(ModelParams(jx, jy, jz, 0.0))
+    below, margin_below = _gibbs_luo_margin(ModelParams(jx, jy, jz, dz_star * (1.0 - 1e-3)), temperature)
+    above, margin_above = _gibbs_luo_margin(ModelParams(jx, jy, jz, dz_star * (1.0 + 1e-3)), temperature)
+    if margin_floor is not None and min(-margin_below, margin_above) <= margin_floor:
+        return False
+    assert _minimize(below)[0] == MeasurementBasis(0.0, 0.0)
+    assert _minimize(above)[0] == MeasurementBasis(np.pi / 4.0, _fold_phi(x_state_phase(above)))
+    return True
+
+
+def test_gibbs_basis_switches_at_the_sudden_change_dz():
+    # the level crossing max(w1, w2) = w4 puts the switch at one Dz for every T
+    assert gibbs_sudden_change_dz(ModelParams(0.2, 0.4, 0.8, 0.0)) == pytest.approx(math.sqrt(0.4), abs=1e-15)
+    for temperature in (0.1, 0.3, 0.5, 1.0, 1.5, 2.0):
+        assert _assert_sudden_change(0.2, 0.4, 0.8, temperature)
+    # random couplings in the regime, wherever the margin clears the tie rule
+    rng = np.random.default_rng(233)
+    checked = 0
+    for _ in range(300):
+        jx, jy, jz = rng.uniform(-3.0, 3.0, size=3)
+        if 2.0 * jz - abs(jx - jy) > abs(jx + jy):
+            checked += _assert_sudden_change(jx, jy, jz, float(rng.choice([0.3, 1.0, 2.0])), 1e-12)
+    assert checked >= 50
 
 
 def test_classical_correlation_trivial_states():

@@ -271,6 +271,13 @@ def test_config_rejects_grid_above_row_cap():
         thermal_config(axis=over, dz_range=dz)
     with pytest.raises(ConfigError, match="exceeds the limit"):
         decoherence_config(axis=AxisRange(0.0, 1e9, 1e-3))
+    # counts of 1e9 and more print short, also past the float range
+    with pytest.raises(ConfigError, match=r"^grid of 5e\+299 rows exceeds the limit of 10000000$"):
+        thermal_config(axis=AxisRange(0.5, 1.0, 1e-300))
+    with pytest.raises(ConfigError, match=r"^grid of 1e\+608 rows exceeds the limit of 10000000$"):
+        thermal_config(dz_range=AxisRange(0.0, 1e300, 1.0), axis=AxisRange(0.01, 1e300, 1e-8))
+    with pytest.raises(ConfigError, match=r"^grid of 10000001 rows exceeds"):
+        thermal_config(axis=AxisRange(1.0, MAX_GRID_ROWS + 1, 1.0))
 
 
 def test_config_rejects_repeated_grid_points():
