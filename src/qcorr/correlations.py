@@ -29,12 +29,12 @@ M(n) = tr_B[rho (1 x (1 + n.sigma)/2)], is affine in n (Luo, PRA 77,
 the real 4x4 map g of the state (``_bloch_map``) takes (1, n) to the
 entries of M(n) and (1, -n) to those of M(-n).
 
-An X-shaped state (every entry off the diagonal and anti-diagonal at most
-``X_SHAPE_TOL``) with |rho11 - rho44| and |rho22 - rho33| at most
-``_LUO_TOL`` = 1e-15, as every Gibbs state of the model is, needs no
-search.  A local z rotation makes such a state Bell-diagonal, and Luo's
-theorem puts S_min on the axis of largest |c_i|, which lies at theta = 0 or
-at theta = pi/4 and the phase phi* = (arg rho23 - arg rho14)/2.  phi* is
+A state with |rho11 - rho44|, |rho22 - rho33| and every off-X entry (off
+the diagonal and the anti-diagonal) at most the one tolerance ``_LUO_TOL``
+= 1e-15, as every Gibbs state of the model is, needs no search.  A local
+z rotation makes such a state Bell-diagonal, and Luo's theorem puts S_min
+on the axis of largest |c_i|, which lies at theta = 0 or at theta = pi/4
+and the phase phi* = (arg rho23 - arg rho14)/2.  phi* is
 optimal for every theta of an X state (Chen, Zhang, Yu, Yi & Oh, PRA 84,
 042313 (2011)): phi leaves the diagonals of M(+-n) unchanged, and phi*
 gives their common off-diagonal modulus |cos(theta) sin(theta)
@@ -43,10 +43,11 @@ block's eigenvalues furthest and so lowers both entropies.  So
 ``_minimize`` evaluates both axes and returns the smaller, reported at
 (0, 0) when S(0) <= S(pi/4) + 1e-12 and at (pi/4, phi*) otherwise.  The
 tolerance absorbs the round-off of a built state: it is within trace
-distance 1e-15 of a symmetric one, which moves every measured conditional
-entropy by at most about 5e-14 bits (Alicki-Fannes-Winter), so the exit
-may exceed S_min by about 1e-13 and is never below it.  The better axis is
-not the minimum of a general X state (Huang, PRA 88, 014302 (2013)).
+distance 4e-15 of a symmetric X state (1e-15 from the pairs, under 3e-15
+from the off-X entries), which moves every measured conditional entropy by
+at most about 2e-13 bits (Alicki-Fannes-Winter), so the exit may exceed
+S_min by about 4e-13 and is never below it.  The better axis is not the
+minimum of a general X state (Huang, PRA 88, 014302 (2013)).
 
 Every other state, X-shaped or not, goes through one search
 (``_search``) over one coarse set: the 33 x 128 (theta, phi) grid
@@ -84,9 +85,9 @@ from .linalg import _spectrum_entropy, _xlog2x, validated_spectrum
 _Y4 = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
 _Y4.setflags(write=False)
 
-X_SHAPE_TOL = 1e-10
-# |rho11 - rho44| and |rho22 - rho33| at most this: Luo's two-evaluation exit
+# |rho11 - rho44|, |rho22 - rho33| and every off-X |rho_ij| at most this: Luo's two-evaluation exit
 _LUO_TOL = 1e-15
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off the diagonal and anti-diagonal
 
 
 def _bloch_vectors(thetas, phis) -> np.ndarray:
@@ -106,7 +107,7 @@ _GRID = _bloch_vectors(*_GRID_ANGLES.T)
 _STENCIL = np.linspace(-2.0, 2.0, 17)
 _PLANE = np.stack(np.meshgrid(_STENCIL, _STENCIL, indexing="ij"), axis=-1).reshape(-1, 2)
 _REFINE_MIN_STEP = 1e-9
-for _a in (GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _PLANE):
+for _a in (_OFF_X, GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _PLANE):
     _a.setflags(write=False)
 
 
@@ -140,14 +141,6 @@ def _concurrence(lam: np.ndarray, vecs: np.ndarray) -> float:
     x = vecs * np.sqrt(np.maximum(lam, 0.0))
     sv = np.linalg.svd(x.T @ _Y4 @ x, compute_uv=False)  # descending
     return min(max(float(sv[0] - sv[1] - sv[2] - sv[3]), 0.0), 1.0)
-
-
-_OFF_X = [(i, j) for i in range(4) for j in range(4)
-          if (i, j) not in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1))]
-
-
-def _off_x_spill(rho: np.ndarray) -> float:
-    return max(abs(rho[i, j]) for i, j in _OFF_X)
 
 
 def _entropy_terms(n00, n11, n01_sq) -> np.ndarray:
@@ -198,9 +191,8 @@ def _minimize(rho: np.ndarray):
     phi* is 0 where it cannot change the measurement (rho14 = rho23 = 0).
     """
     g = _bloch_map(rho)
-    # rho22 first: a dephased Bell pair (rho11 = rho44 = 0) leaves after one comparison
-    if (abs(rho[1, 1] - rho[2, 2]) <= _LUO_TOL and abs(rho[0, 0] - rho[3, 3]) <= _LUO_TOL
-            and _off_x_spill(rho) <= X_SHAPE_TOL):
+    if (abs(rho[0, 0] - rho[3, 3]) <= _LUO_TOL and abs(rho[1, 1] - rho[2, 2]) <= _LUO_TOL
+            and np.abs(rho[_OFF_X]).max() <= _LUO_TOL):
         phi = 0.0
         if abs(rho[0, 3]) + abs(rho[1, 2]) > 0.0:
             phi = _fold_phi((np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0)

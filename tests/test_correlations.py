@@ -8,6 +8,7 @@ from qcorr.correlations import (
     MeasurementBasis,
     _GRID,
     _GRID_ANGLES,
+    _OFF_X,
     _PLANE,
     _bloch_map,
     _bloch_vectors,
@@ -235,6 +236,7 @@ def test_minimize_thermal_state_vs_dense_grid():
     _, value = _minimize(rho)
     dense = dense_grid_min_conditional_entropy(rho)
     assert value <= dense + 1e-5
+    assert abs(value - x_state_min_conditional_entropy(rho)) <= 1e-12
 
 
 def test_minimize_wraps_phi_through_zero():
@@ -245,6 +247,7 @@ def test_minimize_wraps_phi_through_zero():
     rho = thermal_state(ThermalPoint(p, 1.0608))
     _, value = _minimize(rho)
     assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
+    assert abs(value - x_state_min_conditional_entropy(rho)) <= 1e-12
 
 
 def test_minimize_dominates_random_bases():
@@ -353,15 +356,14 @@ def test_minimize_matches_x_state_oracle():
         assert abs(measured_entropy(rho, basis.theta, basis.phi) - value) <= 1e-12
 
 
-def test_grid_route_finds_minima_near_the_pole():
+def test_grid_route_finds_minima_near_the_pole(monkeypatch):
     # Local unitaries leave S_min unchanged, so the X-state oracle of the
     # unrotated state is exact for the rotated, non-X one.  On these states
     # the minimum lies near the pole but several phi spacings from the coarse
     # argmin (state 1852: coarse argmin on theta = 0, minimum at
     # theta = 0.0094, phi = 0.33), which a stencil stepping in (theta, phi)
     # missed by up to 3.6e-6.
-    from qcorr.correlations import X_SHAPE_TOL, _off_x_spill
-
+    calls = _search_calls(monkeypatch)
     states, rotations = np.random.default_rng(4242), np.random.default_rng(1)
     for i in range(1853):
         rho = random_x_state(states)
@@ -370,8 +372,9 @@ def test_grid_route_finds_minima_near_the_pole():
             continue
         rotated = u @ rho @ u.conj().T
         rotated = 0.5 * (rotated + rotated.conj().T)
-        assert _off_x_spill(rotated) > X_SHAPE_TOL
+        searched = len(calls)
         basis, value = _minimize(rotated)
+        assert len(calls) == searched + 1
         oracle = x_state_min_conditional_entropy(rho)
         assert oracle - 1e-9 <= value <= oracle + 1e-12
         assert abs(measured_entropy(rotated, basis.theta, basis.phi) - value) <= 1e-12
@@ -413,16 +416,17 @@ def _search_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("spill, searched", [(0.99e-10, False), (1.01e-10, True)])
-def test_x_shape_tol_gates_the_luo_exit(monkeypatch, spill, searched):
+@pytest.mark.parametrize("spill, searched", [(1e-15, False), (1.01e-15, True), (0.99e-10, True)])
+def test_luo_tol_gates_the_off_x_entries(monkeypatch, spill, searched):
     # a Bell-diagonal state has rho11 = rho44 and rho22 = rho33 exactly; an
-    # entry off the X shape past X_SHAPE_TOL sends it to the grid search
-    from qcorr.correlations import X_SHAPE_TOL
+    # entry off the X shape past _LUO_TOL, the exit's one tolerance, sends it
+    # to the grid search
+    from qcorr.correlations import _LUO_TOL
 
     rho = bell_diagonal_state(0.7, -0.3, 0.2)
     rho[0, 1] = spill
     rho[1, 0] = spill
-    assert (spill > X_SHAPE_TOL) == searched
+    assert (spill > _LUO_TOL) == searched
     calls = _search_calls(monkeypatch)
     _, value = _minimize(rho)
     assert calls == ([((4224, 3), (289, 2))] if searched else [])
@@ -542,6 +546,29 @@ def test_luo_exit_stays_within_round_off_of_the_search(monkeypatch):
         assert line_value <= exit_value <= min(line_value, grid_value) + 1e-13
 
 
+@pytest.mark.parametrize("largest, searched", [(0.99e-10, True), (1e-15, False)])
+def test_off_x_perturbation_of_symmetric_x_states(monkeypatch, largest, searched):
+    # The exit's continuity argument covers entries off the X shape only up
+    # to _LUO_TOL: with entries of 0.99e-10 the exit exceeded the grid search
+    # on these states by up to 2.4e-10, so such states are searched.  At
+    # 1e-15 they take the exit, within 8.7e-15 of the grid search.
+    calls = _search_calls(monkeypatch)
+    rng = np.random.default_rng(239)
+    kept = 0
+    for rho in _symmetric_x_states(np.random.default_rng(227), 400):
+        e = np.where(_OFF_X, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), 0.0)
+        e = e + e.conj().T
+        rho = rho + e * (largest * (1.0 - 1e-12) / np.abs(e).max())  # the largest entry, not past it
+        if np.linalg.eigvalsh(rho).min() < 0.0:
+            continue
+        kept += 1
+        _, value = _minimize(rho)
+        _, grid_value = _search(_bloch_map(rho), _GRID, _GRID_ANGLES, _PLANE)
+        assert value <= grid_value + (0.0 if searched else 1e-13)
+        assert len(calls) == (kept if searched else 0)
+    assert kept >= 350
+
+
 def test_luo_exit_reports_the_axis_of_the_largest_correlation():
     # a Werner state is flat over the sphere, and ties within 1e-12 go to (0, 0)
     for p in (0.0, 0.3, 0.5, 0.9, 1.0):
@@ -622,7 +649,7 @@ def test_quantum_discord_trivial_states():
 def test_quantum_discord_werner_vs_closed_form():
     exact = bell_diagonal_exact(0.5, 0.5, -0.5)  # Werner p=0.5 correlation vector
     rep = correlation_report(werner_state(0.5))
-    assert rep.quantum_discord == pytest.approx(exact["QD"], abs=1e-6)
+    assert rep.quantum_discord == pytest.approx(exact["QD"], abs=1e-12)
 
 
 def test_quantum_discord_bell_diagonal_closed_form():
@@ -630,8 +657,8 @@ def test_quantum_discord_bell_diagonal_closed_form():
     for _ in range(60):
         rho, exact = random_bell_diagonal(rng)
         rep = correlation_report(rho)
-        assert rep.quantum_discord == pytest.approx(exact["QD"], abs=1e-6)
-        assert rep.classical_correlation == pytest.approx(exact["CC"], abs=1e-6)
+        assert rep.quantum_discord == pytest.approx(exact["QD"], abs=1e-12)
+        assert rep.classical_correlation == pytest.approx(exact["CC"], abs=1e-12)
 
 
 def test_report_bell():
