@@ -1,7 +1,8 @@
 """Correlation measures for two-qubit states.
 
-``correlation_report`` is the one route to the four measures of a state,
-all in bits except the concurrence:
+``correlation_columns`` is the one route to the four measures of a
+sequence of states, all in bits except the concurrence, and
+``correlation_report`` is its one-row case:
 
 * concurrence C = max(l1 - l2 - l3 - l4, 0), where l1 >= ... >= l4 are the
   Wootters values, the square roots of the eigenvalues of
@@ -40,13 +41,15 @@ optimal for every theta of an X state (Chen, Zhang, Yu, Yi & Oh, PRA 84,
 gives their common off-diagonal modulus |cos(theta) sin(theta)
 (e^{i phi} rho14 + e^{-i phi} rho23)| its largest value, which spreads each
 block's eigenvalues furthest and so lowers both entropies.  So
-``_minimize`` evaluates both axes and returns the smaller, reported at
-(0, 0) when S(0) <= S(pi/4) + 1e-12 and at (pi/4, phi*) otherwise.  The
-tolerance absorbs the round-off of a built state: it is within trace
-distance 4e-15 of a symmetric X state (1e-15 from the pairs, under 3e-15
-from the off-X entries), which moves every measured conditional entropy by
-at most about 2e-13 bits (Alicki-Fannes-Winter), so the exit may exceed
-S_min by about 4e-13 and is never below it.  The better axis is not the
+``_minimize``, which takes a stack of states, makes both axis
+evaluations for a whole stack in one pass (one mask holds the gate) and
+returns the smaller, reported at (0, 0) when S(0) <= S(pi/4) + 1e-12 and
+at (pi/4, phi*) otherwise.  The tolerance absorbs the round-off of a
+built state: it is within trace distance 4e-15 of a symmetric X state
+(1e-15 from the pairs, under 3e-15 from the off-X entries), which moves
+every measured conditional entropy by at most about 2e-13 bits
+(Alicki-Fannes-Winter), so the exit may exceed S_min by about 4e-13 and
+is never below it.  The better axis is not the
 minimum of a general X state (Huang, PRA 88, 014302 (2013)).
 
 Every other state, X-shaped or not, goes through one search
@@ -69,13 +72,21 @@ reported at its own angles if it is still within 1e-12 of the final
 minimum, else the refined point is; the reported S_min is the minimum
 itself.
 
-``correlation_report`` validates its input once; everything behind it
-takes a checked state.  Everything here is pure and deterministic.
+``correlation_columns`` validates and decomposes each state on its own
+(C, S_A, S_B and S_AB), then makes one ``_minimize`` call for the whole
+stack and clips I, CC and QD as array operations; ``correlation_report``
+runs the same three steps on a stack of one.  Everything behind the
+validation takes a checked state.  Every step works row by row, so a
+state's measures do not depend on the other rows of its stack, and
+``run_sweep``, which calls ``correlation_columns`` once per Dz block,
+writes exactly what ``correlation_report`` gives point by point.
+Everything here is pure and deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,12 +99,19 @@ _Y4.setflags(write=False)
 # |rho11 - rho44|, |rho22 - rho33| and every off-X |rho_ij| at most this: Luo's two-evaluation exit
 _LUO_TOL = 1e-15
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off the diagonal and anti-diagonal
+# rho (16 entries) @ _GATE: the 8 off-X entries, rho11 - rho44 and rho22 - rho33, in
+# one product, which is exact: each column holds one 1, or a 1 and a -1
+_GATE = np.eye(16, dtype=complex)[:, [*np.flatnonzero(_OFF_X), 0, 5]]
+_GATE[[15, 10], [8, 9]] = -1.0
 
 
 def _bloch_vectors(thetas, phis) -> np.ndarray:
     """Unit Bloch vectors n(theta, phi), theta and phi broadcast together, in a last axis of 3."""
     s = np.sin(2.0 * thetas)
-    return np.stack(np.broadcast_arrays(s * np.cos(phis), s * np.sin(phis), np.cos(2.0 * thetas)), axis=-1)
+    x = s * np.cos(phis)
+    n = np.empty(np.shape(x) + (3,))
+    n[..., 0], n[..., 1], n[..., 2] = x, s * np.sin(phis), np.cos(2.0 * thetas)
+    return n
 
 
 # coarse search grid over half the theta range, spacing pi/128 in both angles,
@@ -107,7 +125,9 @@ _GRID = _bloch_vectors(*_GRID_ANGLES.T)
 _STENCIL = np.linspace(-2.0, 2.0, 17)
 _PLANE = np.stack(np.meshgrid(_STENCIL, _STENCIL, indexing="ij"), axis=-1).reshape(-1, 2)
 _REFINE_MIN_STEP = 1e-9
-for _a in (_OFF_X, GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _PLANE):
+_LUO_THETA = GRID_THETA[[0, -1]]  # the Luo exit's two axes, sigma_z and the equator at phi*
+_SIGNS = np.array([1.0, -1.0])  # the outcomes n and -n
+for _a in (_OFF_X, _GATE, _LUO_THETA, _SIGNS, GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _PLANE):
     _a.setflags(write=False)
 
 
@@ -153,59 +173,75 @@ def _entropy_terms(n00, n11, n01_sq) -> np.ndarray:
     """
     p = n00 + n11
     disc = np.sqrt((n00 - n11) ** 2 + 4.0 * n01_sq)
-    x = _xlog2x(np.stack((p, 0.5 * (p + disc), 0.5 * (p - disc))))
+    x = _xlog2x(np.array((p, 0.5 * (p + disc), 0.5 * (p - disc))))
     return np.maximum(x[0] - x[1] - x[2], 0.0)
 
 
 # 1, sigma_x, sigma_y, sigma_z
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_PAULI.setflags(write=False)
+# g = Re(rho (16 entries) @ _BLOCH) / 2, row-major: column (i, mu) takes entry i
+# of tr_B[rho (1 x sigma_mu)], for i = n00, n11, n01 and -1j n01 (whose real part
+# is Im n01).  Each column has at most two nonzero coefficients, all of modulus
+# 1, so each entry of g is one rounded sum of two entries of rho.
+_ENTRY = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]], [[0, -1j], [0, 0]]])
+_BLOCH = np.einsum("iac,mdb->abcdim", _ENTRY, _PAULI).reshape(16, 16)
+for _a in (_PAULI, _ENTRY, _BLOCH):
+    _a.setflags(write=False)
 
 
 def _bloch_map(rho: np.ndarray) -> np.ndarray:
-    """Real 4x4 g with (n00, n11, Re n01, Im n01) = g @ (1, n) for the block M(n).
+    """Real 4x4 g with (n00, n11, Re n01, Im n01) = g @ (1, n) for the block M(n), over leading axes.
 
     M(n) = tr_B[rho (1 x (1 + n.sigma)/2)] is the unnormalised state of
     qubit A after outcome n of a measurement on B, affine in the Bloch
     vector n; column mu of g holds the entries of tr_B[rho (1 x sigma_mu)] / 2.
     """
-    t = 0.5 * np.einsum("abcd,mdb->mac", rho.reshape(2, 2, 2, 2), _PAULI)
-    return np.stack((t[:, 0, 0].real, t[:, 1, 1].real, t[:, 0, 1].real, t[:, 0, 1].imag))
+    t = rho.reshape(rho.shape[:-2] + (16,)) @ _BLOCH
+    return (0.5 * t.real).reshape(rho.shape)
 
 
 def _conditional_entropy(g: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Measured conditional entropy at each unit Bloch vector n (last axis of 3).
+    """Measured conditional entropy at each unit Bloch vector n (last axis of 3) of each map g.
 
-    Outcome 0 of the basis is n and outcome 1 is -n; both blocks
-    g[:, 0] +- g[:, 1:] n come from one product.
+    g is (..., 4, 4) and n is (..., m, 3) over the same leading axes; the
+    result is (..., m).  Outcome 0 of the basis is n and outcome 1 is -n;
+    both blocks g[:, 0] +- g[:, 1:] n come from one product.
     """
-    t = n @ g[:, 1:].T
-    m = np.stack((g[:, 0] + t, g[:, 0] - t))
+    m = g[..., None, :, 0] + np.multiply.outer(_SIGNS, n @ g[..., 1:].swapaxes(-1, -2))
     terms = _entropy_terms(m[..., 0], m[..., 1], m[..., 2] ** 2 + m[..., 3] ** 2)
     return terms[0] + terms[1]
 
 
 def _minimize(rho: np.ndarray):
-    """(MeasurementBasis, S_min) of a validated state: Luo's two evaluations where they apply, else the search.
+    """(theta, phi, S_min) arrays of a stack of validated states, shape (n, 4, 4).
 
-    phi* is 0 where it cannot change the measurement (rho14 = rho23 = 0).
+    The Luo gate is one mask.  If any row passes it, every row gets phi*
+    and both axis evaluations in one pass (module docstring); every row
+    outside the gate then goes to ``_search``, in row order, whose result
+    replaces the exit's.  phi* is 0 where it cannot change the measurement
+    (rho14 = rho23 = 0).
     """
     g = _bloch_map(rho)
-    if (abs(rho[0, 0] - rho[3, 3]) <= _LUO_TOL and abs(rho[1, 1] - rho[2, 2]) <= _LUO_TOL
-            and np.abs(rho[_OFF_X]).max() <= _LUO_TOL):
-        phi = 0.0
-        if abs(rho[0, 3]) + abs(rho[1, 2]) > 0.0:
-            phi = _fold_phi((np.angle(rho[1, 2]) - np.angle(rho[0, 3])) / 2.0)
-        s0, s1 = _conditional_entropy(g, _bloch_vectors(GRID_THETA[[0, -1]], phi)).tolist()
-        if s0 <= s1 + 1e-12:
-            return MeasurementBasis(0.0, 0.0), min(s0, s1)
-        return MeasurementBasis(np.pi / 4.0, phi), s1
-    return _search(g, _GRID, _GRID_ANGLES, _PLANE)
+    luo = np.abs(rho.reshape(-1, 16) @ _GATE).max(axis=1) <= _LUO_TOL
+    if luo.any():
+        r = rho[:, [1, 0], [2, 3]]  # rho23, rho14
+        a = np.angle(r)
+        star = np.where(r.any(axis=1), _fold_phi((a[:, 0] - a[:, 1]) / 2.0), 0.0)
+        s0, s1 = _conditional_entropy(g, _bloch_vectors(_LUO_THETA, star[:, None])).T
+        turn = s0 > s1 + 1e-12  # ties go to (0, 0)
+        theta, phi, smin = np.where(turn, np.pi / 4.0, 0.0), np.where(turn, star, 0.0), np.minimum(s0, s1)
+    else:
+        theta, phi, smin = np.zeros((3, len(rho)))
+    for k in np.flatnonzero(~luo):
+        basis, smin[k] = _search(g[k], _GRID, _GRID_ANGLES, _PLANE)
+        theta[k], phi[k] = basis.theta, basis.phi
+    return theta, phi, smin
 
 
-def _fold_phi(phi) -> float:
-    phi = float(phi) % (2.0 * np.pi)
-    return 0.0 if phi >= 2.0 * np.pi else phi  # a tiny negative phi folds onto 2*pi in round-off
+def _fold_phi(phi) -> np.ndarray:
+    """phi modulo 2*pi, elementwise, in [0, 2*pi)."""
+    phi = np.mod(phi, 2.0 * np.pi)
+    return np.where(phi >= 2.0 * np.pi, 0.0, phi)  # a tiny negative phi folds onto 2*pi in round-off
 
 
 def _search(g: np.ndarray, coarse: np.ndarray, angles: np.ndarray, stencil: np.ndarray):
@@ -239,34 +275,62 @@ def _search(g: np.ndarray, coarse: np.ndarray, angles: np.ndarray, stencil: np.n
         theta, phi = float(angles[tie, 0]), float(angles[tie, 1])
     else:
         theta = 0.5 * float(np.arctan2(np.hypot(n[0], n[1]), n[2]))
-        phi = _fold_phi(np.arctan2(n[1], n[0]))
+        phi = float(_fold_phi(np.arctan2(n[1], n[0])))
     return MeasurementBasis(theta=theta, phi=phi if theta > 0.0 else 0.0), best_val
 
 
-def correlation_report(rho: np.ndarray) -> CorrelationReport:
-    """All four measures of one state, from one eigendecomposition and one discord minimization.
-
-    The concurrence takes the singular-value route for every state; only
-    the discord minimization depends on the state's shape (``_minimize``):
-    two evaluations where Luo's theorem applies, one search elsewhere.
-    0 <= CC <= I and 0 <= QD <= I hold exactly: I >= 0 is subadditivity,
-    CC >= 0 holds because no measurement leaves more conditional entropy
-    than S(rho_A) (concavity), and CC <= I is QD >= 0, so each clip only
-    removes round-off.  A search that stops above the true minimum still
-    shows as too low a CC.
-    """
+def _local_measures(rho: np.ndarray):
+    """(validated rho, (C, S_A, S_B, S_AB)) of one state: every measure but the discord minimization."""
     rho, lam, vecs = validated_spectrum(rho)
     r4 = rho.reshape(2, 2, 2, 2)
     r = np.stack((np.einsum("abcb->ac", r4), np.einsum("abad->bd", r4)))  # rho_A, rho_B
     sa, sb = _entropy_terms(r[:, 0, 0].real, r[:, 1, 1].real, np.abs(r[:, 0, 1]) ** 2).tolist()
-    sab = _spectrum_entropy(lam)
-    basis, smin = _minimize(rho)
-    info = max(sa + sb - sab, 0.0)
-    cc = min(max(sa - smin, 0.0), info)
-    return CorrelationReport(
-        concurrence=_concurrence(lam, vecs),
-        mutual_information=info,
-        classical_correlation=cc,
-        quantum_discord=info - cc,
-        argmin_basis=basis,
-    )
+    return rho, (_concurrence(lam, vecs), sa, sb, _spectrum_entropy(lam))
+
+
+class CorrelationColumns(NamedTuple):
+    """The fields of ``CorrelationReport`` as float arrays, one entry per state, the basis as its angles."""
+
+    concurrence: np.ndarray
+    mutual_information: np.ndarray
+    classical_correlation: np.ndarray
+    quantum_discord: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+
+
+def correlation_columns(states) -> CorrelationColumns:
+    """All four measures of a non-empty sequence of states: one spectrum per state, one stacked minimization.
+
+    Each state is validated and decomposed on its own; the discord
+    minimization (``_minimize``) takes them all at once: two evaluations
+    where Luo's theorem applies, one search elsewhere.  0 <= CC <= I and
+    0 <= QD <= I hold exactly: I >= 0 is subadditivity, CC >= 0 holds
+    because no measurement leaves more conditional entropy than S(rho_A)
+    (concavity), and CC <= I is QD >= 0, so each clip only removes
+    round-off.  A search that stops above the true minimum still shows as
+    too low a CC.
+    """
+    checked, local = zip(*map(_local_measures, states))
+    c, sa, sb, sab = np.array(local).T
+    theta, phi, smin = _minimize(np.array(checked))
+    return CorrelationColumns(c, *_clipped(sa, sb, sab, smin), theta, phi)
+
+
+def _clipped(sa, sb, sab, smin):
+    """(I, CC, QD) from the entropies, clipped to 0 <= CC <= I (``correlation_columns``), elementwise."""
+    info = np.maximum(sa + sb - sab, 0.0)
+    cc = np.minimum(np.maximum(sa - smin, 0.0), info)
+    return info, cc, info - cc
+
+
+def correlation_report(rho: np.ndarray) -> CorrelationReport:
+    """All four measures of one state and its argmin basis: the one row of ``correlation_columns``.
+
+    It runs the same three steps on a stack of one state, without building
+    the columns.
+    """
+    rho, (c, sa, sb, sab) = _local_measures(rho)
+    theta, phi, smin = _minimize(rho[None])
+    info, cc, qd = (float(x) for x in _clipped(sa, sb, sab, smin[0]))
+    return CorrelationReport(c, info, cc, qd, MeasurementBasis(float(theta[0]), float(phi[0])))

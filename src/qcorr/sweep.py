@@ -14,8 +14,10 @@ than one step so that stop is always covered.  ``SweepConfig.axis`` holds
 the temperatures in thermal mode and the times in decoherence mode.  Rows are
 ordered lexicographically by (dz, axis) and every run of the same configuration
 produces a byte-identical file.  Sweep points are independent of each other;
-``run_sweep`` evaluates them sequentially in grid order, picking the state
-builder by mode, and returns one float table whose columns follow the mode's
+``run_sweep`` builds the states of one Dz block point by point in grid
+order, picking the state builder by mode, and hands the block to
+``correlation_columns`` in one call, which minimizes the discord of the whole
+block at once.  It returns one float table whose columns follow the mode's
 header; ``emit_csv`` writes it, and ``find_zero_runs`` scans its concurrence
 column one Dz block at a time.
 """
@@ -30,7 +32,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .correlations import correlation_report
+from .correlations import correlation_columns
 from .errors import ConfigError, OutputError
 from .model import (
     DecoherenceParams,
@@ -158,22 +160,24 @@ def run_sweep(cfg: SweepConfig) -> np.ndarray:
     """
     thermal = cfg.mode == "thermal"
     dzs = cfg.dz_range.values() if cfg.dz_range is not None else np.array([cfg.params.dz])
+    xs = cfg.axis.values()
     rho0 = None if thermal else bell_initial_state()
-    rows = []
+    blocks = []
     for dz in dzs:
         params = replace(cfg.params, dz=float(dz))
-        for x in cfg.axis.values():
+        states, devs = [], []
+        for x in xs:
             if thermal:
-                rho = thermal_state(ThermalPoint(params, float(x)))
-                dev = ()
+                states.append(thermal_state(ThermalPoint(params, float(x))))
             else:
                 dp = DecoherenceParams(params, cfg.gamma, float(x))
-                rho = milburn_evolve(dp, rho0)
-                dev = (np.abs(rho - milburn_closed_form(dp)).max(),)
-            rep = correlation_report(rho)
-            rows.append((dz, x, rep.concurrence, rep.classical_correlation,
-                         rep.quantum_discord, rep.mutual_information, *dev))
-    table = np.array(rows, dtype=float)
+                states.append(milburn_evolve(dp, rho0))
+                devs.append(np.abs(states[-1] - milburn_closed_form(dp)).max())
+        cols = correlation_columns(states)
+        block = [np.full(xs.size, dz), xs, cols.concurrence, cols.classical_correlation,
+                 cols.quantum_discord, cols.mutual_information]
+        blocks.append(np.column_stack(block if thermal else block + [devs]))
+    table = np.concatenate(blocks)
     values = table[:, :6]
     finite = np.isfinite(values).all(axis=1)
     bad = ~finite | (values[:, 2:] < -1e-9).any(axis=1)

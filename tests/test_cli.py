@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -282,9 +281,9 @@ def test_main_failed_sweep_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     ("quantum_discord", -1e-6, "negative correlation value in sweep row"),
 ], ids=["nan", "negative"])
 def test_main_bad_sweep_row_exits_3_without_output(tmp_path, monkeypatch, capsys, field, value, text):
-    real = qcorr.sweep.correlation_report
-    monkeypatch.setattr(qcorr.sweep, "correlation_report",
-                        lambda rho: replace(real(rho), **{field: value}))
+    real = qcorr.sweep.correlation_columns
+    monkeypatch.setattr(qcorr.sweep, "correlation_columns",
+                        lambda states: real(states)._replace(**{field: np.full(len(states), value)}))
     assert main(["thermal", "--t-range", "0.5:0.5:1", "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"qcorr: numeric failure: {text}: (0.0, 0.5, ") and err.count("\n") == 1
@@ -382,10 +381,10 @@ def test_main_rescaled_point_prints_the_unit_scale_row(tmp_path):
     assert big_row[2:] == unit_row[2:]
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, warnings="default"):
     # a child process, so any numpy RuntimeWarning reaches its real stderr
     env = dict(os.environ, PYTHONPATH=str(Path(qcorr.cli.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-W", "default", "-m", "qcorr.cli", *args],
+    return subprocess.run([sys.executable, "-W", warnings, "-m", "qcorr.cli", *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -425,6 +424,26 @@ def test_main_thermal_when_gap_over_t_overflows(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "Warning" not in done.stderr
     assert (tmp_path / "x.csv").read_text().splitlines() == ["dz,T,C,CC,QD,I", "1e+307,0.01,1,1,1,2"]
+
+
+def test_main_thermal_block_mixing_overflow_and_huge_temperature_warns_nothing(tmp_path):
+    # One Dz block of three rows goes through one stacked discord call, whose
+    # np.where evaluates both branches on every row: the overflowing gap/T
+    # row at T = 0.01, T = 5e307 and T = 1e308.  Any RuntimeWarning is an
+    # error in the child, and each row must read as its single-row run does.
+    args = ["thermal", "--jx", "1", "--jy", "1", "--jz", "1", "--dz", "1e307"]
+    done = _run_cli(args + ["--t-range", "0.01:1e308:5e307", "--out", "x.csv"], tmp_path,
+                    "error::RuntimeWarning")
+    assert done.returncode == 0, done.stderr
+    rows = (tmp_path / "x.csv").read_text().splitlines()[1:]
+    assert rows[0] == "1e+307,0.01,1,1,1,2"
+    assert [row.split(",")[1] for row in rows] == ["0.01", "5e+307", "1e+308"]
+    for row in rows:
+        t = row.split(",")[1]
+        single = _run_cli(args + ["--t-range", f"{t}:{t}:1", "--out", "one.csv"], tmp_path,
+                          "error::RuntimeWarning")
+        assert single.returncode == 0, single.stderr
+        assert (tmp_path / "one.csv").read_text().splitlines()[1:] == [row]
 
 
 def test_main_thermal_at_huge_temperature(tmp_path):

@@ -8,6 +8,7 @@ from qcorr.correlations import (
     MeasurementBasis,
     _GRID,
     _GRID_ANGLES,
+    _LUO_TOL,
     _OFF_X,
     _PLANE,
     _bloch_map,
@@ -62,6 +63,12 @@ def product_state(rho_a, rho_b):
 def state_concurrence(rho):
     """C as correlation_report computes it, without the discord search."""
     return _concurrence(*validated_spectrum(rho)[1:])
+
+
+def minimize(rho):
+    """(MeasurementBasis, S_min) of one state: the one row of the stacked ``_minimize``."""
+    theta, phi, smin = _minimize(np.asarray(rho, dtype=complex)[None])
+    return MeasurementBasis(float(theta[0]), float(phi[0])), float(smin[0])
 
 
 def measured_entropy(rho, theta, phi):
@@ -218,7 +225,7 @@ def test_grid_route_ties_resolve_to_the_smallest_theta():
 
 
 def test_minimize_bell_flat_landscape():
-    basis, value = _minimize(bell_initial_state())
+    basis, value = minimize(bell_initial_state())
     assert value <= 1e-10
     assert basis.theta == 0.0 and basis.phi == 0.0  # tie-break at the first grid node
 
@@ -227,13 +234,13 @@ def test_minimize_product_state():
     rng = np.random.default_rng(137)
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 2)
-    _, value = _minimize(product_state(rho_a, rho_b))
+    _, value = minimize(product_state(rho_a, rho_b))
     assert value == pytest.approx(eigvalsh_entropy(rho_a), abs=1e-9)
 
 
 def test_minimize_thermal_state_vs_dense_grid():
     rho = thermal_state(ThermalPoint(ModelParams(0.2, 0.4, 0.8, 1.0), 1.0))
-    _, value = _minimize(rho)
+    _, value = minimize(rho)
     dense = dense_grid_min_conditional_entropy(rho)
     assert value <= dense + 1e-5
     assert abs(value - x_state_min_conditional_entropy(rho)) <= 1e-12
@@ -245,7 +252,7 @@ def test_minimize_wraps_phi_through_zero():
     p = ModelParams(jx=-2.5167188125478512, jy=-0.7730850414054586,
                     jz=-0.577463163587999, dz=0.07816153067105258)
     rho = thermal_state(ThermalPoint(p, 1.0608))
-    _, value = _minimize(rho)
+    _, value = minimize(rho)
     assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
     assert abs(value - x_state_min_conditional_entropy(rho)) <= 1e-12
 
@@ -254,7 +261,7 @@ def test_minimize_dominates_random_bases():
     rng = np.random.default_rng(139)
     for _ in range(5):
         rho = random_density_matrix(rng)
-        _, value = _minimize(rho)
+        _, value = minimize(rho)
         for _ in range(100):
             theta, phi = rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi)
             assert value <= measured_entropy(rho, theta, phi) + 1e-9
@@ -267,7 +274,7 @@ def test_minimize_value_below_every_grid_sample():
 
     rng = np.random.default_rng(149)
     rho = random_density_matrix(rng)
-    _, value = _minimize(rho)
+    _, value = minimize(rho)
     full_theta = np.linspace(0.0, np.pi / 2.0, 65)
     grid_vals = _conditional_entropy(_bloch_map(rho), _bloch_vectors(full_theta[:, None], GRID_PHI))
     assert grid_vals.shape == (65, 128)
@@ -346,7 +353,7 @@ def line_search(rho):
 
 def test_minimize_matches_x_state_oracle():
     for rho in _x_states_for_discord():
-        basis, value = _minimize(rho)
+        basis, value = minimize(rho)
         oracle = x_state_min_conditional_entropy(rho)
         assert oracle - 1e-9 <= value <= oracle + 1e-12
         # the grid search loses nothing to the theta line at phi*
@@ -373,7 +380,7 @@ def test_grid_route_finds_minima_near_the_pole(monkeypatch):
         rotated = u @ rho @ u.conj().T
         rotated = 0.5 * (rotated + rotated.conj().T)
         searched = len(calls)
-        basis, value = _minimize(rotated)
+        basis, value = minimize(rotated)
         assert len(calls) == searched + 1
         oracle = x_state_min_conditional_entropy(rho)
         assert oracle - 1e-9 <= value <= oracle + 1e-12
@@ -397,7 +404,7 @@ def test_grid_search_equal_wells_resolve_to_the_smallest_theta(monkeypatch):
     rho = np.diag([0.0, 0.6, 0.4, 0.0]).astype(complex)
     rho[1, 2] = rho[2, 1] = 0.45
     monkeypatch.setattr(corr, "_conditional_entropy", two_wells)
-    basis, value = corr._minimize(rho)
+    basis, value = minimize(rho)
     assert (basis, value) == (MeasurementBasis(shallow, 0.0), 0.0)
 
 
@@ -428,7 +435,7 @@ def test_luo_tol_gates_the_off_x_entries(monkeypatch, spill, searched):
     rho[1, 0] = spill
     assert (spill > _LUO_TOL) == searched
     calls = _search_calls(monkeypatch)
-    _, value = _minimize(rho)
+    _, value = minimize(rho)
     assert calls == ([((4224, 3), (289, 2))] if searched else [])
     report = correlation_report(rho)
     assert value <= dense_grid_min_conditional_entropy(rho) + 1e-5
@@ -460,7 +467,7 @@ def test_asymmetric_x_states_reach_the_search(monkeypatch):
         rho[k, k] += 2e-15
         states.append(rho)
     for i, rho in enumerate(states):
-        _minimize(rho)
+        minimize(rho)
         assert len(calls) == i + 1
 
 
@@ -487,7 +494,7 @@ def test_search_stops_once_the_minimum_is_zero(monkeypatch):
     # 1e-16 into this 0, which is inside every tolerance.
     calls = _evaluation_calls(monkeypatch)
     dp = DecoherenceParams(ModelParams(0.2, 0.4, 0.8, 1.0), 0.1, 1.0)
-    assert _minimize(milburn_evolve(dp, bell_initial_state())) == (MeasurementBasis(0.0, 0.0), 0.0)
+    assert minimize(milburn_evolve(dp, bell_initial_state())) == (MeasurementBasis(0.0, 0.0), 0.0)
     assert calls == [(4224, 3)]
 
 
@@ -497,7 +504,7 @@ def test_search_above_zero_runs_every_round(monkeypatch):
     rho = random_rank2_x_state(np.random.default_rng(229))
     assert measured_entropy(rho, 0.0, 0.0) > 1e-3
     calls = _evaluation_calls(monkeypatch)
-    _, value = _minimize(rho)
+    _, value = minimize(rho)
     assert calls == [(4224, 3)] + [(289, 3)] * 13
     oracle = x_state_min_conditional_entropy(rho)
     assert oracle - 1e-9 <= value <= oracle + 1e-12
@@ -539,7 +546,7 @@ def test_luo_exit_stays_within_round_off_of_the_search(monkeypatch):
     # the exit on one of these states.
     calls = _search_calls(monkeypatch)
     for rho in _symmetric_x_states(np.random.default_rng(227), 400):
-        _, exit_value = _minimize(rho)
+        _, exit_value = minimize(rho)
         assert calls == []
         _, line_value = line_search(rho)
         _, grid_value = _search(_bloch_map(rho), _GRID, _GRID_ANGLES, _PLANE)
@@ -562,24 +569,81 @@ def test_off_x_perturbation_of_symmetric_x_states(monkeypatch, largest, searched
         if np.linalg.eigvalsh(rho).min() < 0.0:
             continue
         kept += 1
-        _, value = _minimize(rho)
+        _, value = minimize(rho)
         _, grid_value = _search(_bloch_map(rho), _GRID, _GRID_ANGLES, _PLANE)
         assert value <= grid_value + (0.0 if searched else 1e-13)
         assert len(calls) == (kept if searched else 0)
     assert kept >= 350
 
 
+def _stack_of_every_kind():
+    """Seven kinds of state, interleaved, six of each, as one (42, 4, 4) stack.
+
+    Row k is a Gibbs state (k % 7 == 0), the dephased Bell pair at t = 0 (1)
+    and at t > 0 (2), a random state (3), a locally rotated X state (4), a
+    Werner state (5) and a symmetric X state whose largest off-X entry is
+    1.01e-15 (6), just past the Luo gate.
+    """
+    rng, bell = np.random.default_rng(241), bell_initial_state()
+    symmetric = _symmetric_x_states(np.random.default_rng(227), 6)
+    states = []
+    for _ in range(6):
+        p = ModelParams(*rng.uniform(-3.0, 3.0, size=4))
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rotated = u @ random_x_state(rng) @ u.conj().T
+        e = np.where(_OFF_X, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), 0.0)
+        e = e + e.conj().T
+        states += [
+            thermal_state(ThermalPoint(p, float(rng.uniform(0.05, 3.0)))),
+            milburn_evolve(DecoherenceParams(p, 0.1, 0.0), bell),
+            milburn_evolve(DecoherenceParams(p, 0.1, float(rng.uniform(0.5, 10.0))), bell),
+            random_density_matrix(rng),
+            0.5 * (rotated + rotated.conj().T),
+            werner_state(float(rng.uniform())),
+            next(symmetric) + e * (1.01e-15 / np.abs(e).max()),
+        ]
+    return np.array(states)
+
+
+def test_stacked_minimize_matches_one_row_calls_bitwise():
+    stack = _stack_of_every_kind()
+    stacked = np.stack(_minimize(stack), axis=1)
+    for k in range(len(stack)):
+        assert np.concatenate(_minimize(stack[k:k + 1])).tobytes() == stacked[k].tobytes()
+
+
+def test_stacked_minimize_searches_each_other_row_once_in_row_order(monkeypatch):
+    import qcorr.correlations as corr
+
+    stack = _stack_of_every_kind()
+    # the Luo gate entry by entry, as the module docstring states it
+    luo = [abs(r[0, 0] - r[3, 3]) <= _LUO_TOL and abs(r[1, 1] - r[2, 2]) <= _LUO_TOL
+           and np.abs(r[_OFF_X]).max() <= _LUO_TOL for r in stack]
+    # the stack mixes both routes; only a dephased pair at t > 0 may go either way
+    assert [luo[k] for k in range(len(stack)) if k % 7 != 2] == [
+        k % 7 in (0, 1, 5) for k in range(len(stack)) if k % 7 != 2]
+    maps, searched, search = _bloch_map(stack), [], corr._search
+
+    def spy(g, *args):
+        searched.append(next(k for k in range(len(maps)) if np.array_equal(maps[k], g)))
+        return search(g, *args)
+
+    monkeypatch.setattr(corr, "_search", spy)
+    _minimize(stack)
+    assert searched == [k for k in range(len(stack)) if not luo[k]]
+
+
 def test_luo_exit_reports_the_axis_of_the_largest_correlation():
     # a Werner state is flat over the sphere, and ties within 1e-12 go to (0, 0)
     for p in (0.0, 0.3, 0.5, 0.9, 1.0):
-        assert _minimize(werner_state(p))[0] == MeasurementBasis(0.0, 0.0)
+        assert minimize(werner_state(p))[0] == MeasurementBasis(0.0, 0.0)
     # |c1| is largest, so sigma_x is optimal; a z phase alpha on qubit B turns
     # it to phi* = alpha, and one on qubit A changes nothing
     c = (0.7, -0.3, 0.2)
     smin = bell_diagonal_exact(*c)["smin"]
     for alpha in (0.3, 1.0, 2.5, 5.5):
         u = np.kron(np.diag([1.0, np.exp(0.4j)]), np.diag([1.0, np.exp(1j * alpha)]))
-        basis, value = _minimize(u @ bell_diagonal_state(*c) @ u.conj().T)
+        basis, value = minimize(u @ bell_diagonal_state(*c) @ u.conj().T)
         assert basis.theta == np.pi / 4.0
         assert basis.phi == pytest.approx(alpha, abs=1e-12)
         assert value == pytest.approx(smin, abs=1e-12)
@@ -603,8 +667,8 @@ def _assert_sudden_change(jx, jy, jz, temperature, margin_floor=None):
     above, margin_above = _gibbs_luo_margin(ModelParams(jx, jy, jz, dz_star * (1.0 + 1e-3)), temperature)
     if margin_floor is not None and min(-margin_below, margin_above) <= margin_floor:
         return False
-    assert _minimize(below)[0] == MeasurementBasis(0.0, 0.0)
-    assert _minimize(above)[0] == MeasurementBasis(np.pi / 4.0, _fold_phi(x_state_phase(above)))
+    assert minimize(below)[0] == MeasurementBasis(0.0, 0.0)
+    assert minimize(above)[0] == MeasurementBasis(np.pi / 4.0, _fold_phi(x_state_phase(above)))
     return True
 
 

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 import qcorr.sweep
-from qcorr.correlations import correlation_report
+from qcorr.correlations import correlation_columns, correlation_report
 from qcorr.errors import ConfigError, OutputError
-from qcorr.model import ModelParams, ThermalPoint, thermal_state
+from qcorr.cli import parse_config
+from qcorr.model import (
+    DecoherenceParams,
+    ModelParams,
+    ThermalPoint,
+    bell_initial_state,
+    milburn_closed_form,
+    milburn_evolve,
+    thermal_state,
+)
 from qcorr.sweep import (
     MAX_GRID_ROWS,
     PRESETS,
@@ -175,8 +184,8 @@ def test_decoherence_concurrence_floor_at_dip_time():
     ("quantum_discord", -1e-6, "negative correlation value in sweep row"),
 ], ids=["nan", "negative"])
 def test_run_sweep_names_the_first_bad_row(monkeypatch, field, value, text):
-    monkeypatch.setattr(qcorr.sweep, "correlation_report",
-                        lambda rho: replace(correlation_report(rho), **{field: value}))
+    monkeypatch.setattr(qcorr.sweep, "correlation_columns",
+                        lambda states: correlation_columns(states)._replace(**{field: np.full(len(states), value)}))
     cfg = thermal_config(axis=AxisRange(0.5, 1.0, 0.5))  # both rows are bad
     rep = replace(correlation_report(thermal_state(ThermalPoint(cfg.params, 0.5))), **{field: value})
     first = (0.0, 0.5, rep.concurrence, rep.classical_correlation, rep.quantum_discord,
@@ -184,6 +193,51 @@ def test_run_sweep_names_the_first_bad_row(monkeypatch, field, value, text):
     with pytest.raises(ValueError) as info:
         run_sweep(cfg)
     assert str(info.value) == f"{text}: {first}"
+
+
+def _report_rows(cfg):
+    """The rows of ``run_sweep(cfg)`` built point by point, each from its own ``correlation_report``."""
+    rows = []
+    for dz in cfg.dz_range.values() if cfg.dz_range is not None else [cfg.params.dz]:
+        params = replace(cfg.params, dz=float(dz))
+        for x in cfg.axis.values():
+            if cfg.mode == "thermal":
+                rho, dev = thermal_state(ThermalPoint(params, float(x))), ()
+            else:
+                dp = DecoherenceParams(params, cfg.gamma, float(x))
+                rho = milburn_evolve(dp, bell_initial_state())
+                dev = (np.abs(rho - milburn_closed_form(dp)).max(),)
+            rep = correlation_report(rho)
+            rows.append((dz, x, rep.concurrence, rep.classical_correlation, rep.quantum_discord,
+                         rep.mutual_information, *dev))
+    return np.array(rows)
+
+
+def test_thermal_sweep_rows_equal_the_library_route():
+    # one discord call per Dz block gives what one call per point gives: fig1's
+    # full T axis at Dz = 0, 0.60, 0.65 and 3, two of them either side of the
+    # sudden change at Dz* = sqrt(0.4)
+    cfg = parse_config(["thermal", "--preset", "fig1", "--out", "fig1.csv"])
+    dzs = cfg.dz_range.values()[[0, 12, 13, 60]]
+    assert dzs[1] < np.sqrt(0.4) < dzs[2]
+    for dz in dzs:
+        block = replace(cfg, dz_range=AxisRange(dz, dz, 1.0))
+        table = run_sweep(block)
+        assert table.shape == (101, 6)
+        assert np.array_equal(table, _report_rows(block))
+
+
+@pytest.mark.parametrize("preset", ["fig2-lower", "fig2-upper"])
+def test_decoherence_sweep_rows_equal_the_library_route(preset):
+    # the first 50 rows hold t = 0, where the Bell pair takes the Luo exit,
+    # and rows that are searched, so the block mixes both routes
+    cfg = parse_config(["decohere", "--preset", preset, "--out", "fig2.csv"])
+    ts = cfg.axis.values()
+    for first, last in ((0, 49), (-50, -1)):
+        block = replace(cfg, axis=AxisRange(ts[first], ts[last], cfg.axis.step))
+        table = run_sweep(block)
+        assert table.shape == (50, 7)
+        assert np.array_equal(table, _report_rows(block))
 
 
 def test_emit_csv_header_only(tmp_path):
