@@ -103,6 +103,7 @@ _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off the diago
 # one product, which is exact: each column holds one 1, or a 1 and a -1
 _GATE = np.eye(16, dtype=complex)[:, [*np.flatnonzero(_OFF_X), 0, 5]]
 _GATE[[15, 10], [8, 9]] = -1.0
+_ANTI = np.array([6, 3])  # rho23 and rho14 among the 16 entries
 
 
 def _bloch_vectors(thetas, phis) -> np.ndarray:
@@ -127,7 +128,7 @@ _PLANE = np.stack(np.meshgrid(_STENCIL, _STENCIL, indexing="ij"), axis=-1).resha
 _REFINE_MIN_STEP = 1e-9
 _LUO_THETA = GRID_THETA[[0, -1]]  # the Luo exit's two axes, sigma_z and the equator at phi*
 _SIGNS = np.array([1.0, -1.0])  # the outcomes n and -n
-for _a in (_OFF_X, _GATE, _LUO_THETA, _SIGNS, GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _PLANE):
+for _a in (_OFF_X, _GATE, _ANTI, _LUO_THETA, _SIGNS, GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _PLANE):
     _a.setflags(write=False)
 
 
@@ -222,17 +223,19 @@ def _minimize(rho: np.ndarray):
     (rho14 = rho23 = 0).
     """
     g = _bloch_map(rho)
-    luo = np.abs(rho.reshape(-1, 16) @ _GATE).max(axis=1) <= _LUO_TOL
-    if luo.any():
-        r = rho[:, [1, 0], [2, 3]]  # rho23, rho14
-        a = np.angle(r)
-        star = np.where(r.any(axis=1), _fold_phi((a[:, 0] - a[:, 1]) / 2.0), 0.0)
+    flat = rho.reshape(-1, 16)
+    others = np.flatnonzero(np.abs(flat @ _GATE).max(axis=1) > _LUO_TOL)  # a validated state has no NaN
+    if others.size < len(rho):
+        r = flat[:, _ANTI]
+        a = np.arctan2(r.imag, r.real)  # np.angle
+        # a product with a mask is np.where(mask, x, 0.0) here: each x is finite and not -0.0
+        star = r.any(axis=1) * _fold_phi((a[:, 0] - a[:, 1]) / 2.0)
         s0, s1 = _conditional_entropy(g, _bloch_vectors(_LUO_THETA, star[:, None])).T
         turn = s0 > s1 + 1e-12  # ties go to (0, 0)
-        theta, phi, smin = np.where(turn, np.pi / 4.0, 0.0), np.where(turn, star, 0.0), np.minimum(s0, s1)
+        theta, phi, smin = turn * (np.pi / 4.0), turn * star, np.minimum(s0, s1)
     else:
         theta, phi, smin = np.zeros((3, len(rho)))
-    for k in np.flatnonzero(~luo):
+    for k in others:
         basis, smin[k] = _search(g[k], _GRID, _GRID_ANGLES, _PLANE)
         theta[k], phi[k] = basis.theta, basis.phi
     return theta, phi, smin
@@ -317,10 +320,15 @@ def correlation_columns(states) -> CorrelationColumns:
     return CorrelationColumns(c, *_clipped(sa, sb, sab, smin), theta, phi)
 
 
-def _clipped(sa, sb, sab, smin):
-    """(I, CC, QD) from the entropies, clipped to 0 <= CC <= I (``correlation_columns``), elementwise."""
-    info = np.maximum(sa + sb - sab, 0.0)
-    cc = np.minimum(np.maximum(sa - smin, 0.0), info)
+def _clipped(sa, sb, sab, smin, maximum=np.maximum, minimum=np.minimum):
+    """(I, CC, QD) from the entropies, clipped to 0 <= CC <= I (``correlation_columns``), elementwise.
+
+    ``correlation_report`` passes floats and the builtins max and min, which
+    round and pick exactly as np.maximum and np.minimum do for finite
+    values, without a ufunc call per clip.
+    """
+    info = maximum(sa + sb - sab, 0.0)
+    cc = minimum(maximum(sa - smin, 0.0), info)
     return info, cc, info - cc
 
 
@@ -331,6 +339,5 @@ def correlation_report(rho: np.ndarray) -> CorrelationReport:
     the columns.
     """
     rho, (c, sa, sb, sab) = _local_measures(rho)
-    theta, phi, smin = _minimize(rho[None])
-    info, cc, qd = (float(x) for x in _clipped(sa, sb, sab, smin[0]))
-    return CorrelationReport(c, info, cc, qd, MeasurementBasis(float(theta[0]), float(phi[0])))
+    theta, phi, smin = (x.item() for x in _minimize(rho[None]))
+    return CorrelationReport(c, *_clipped(sa, sb, sab, smin, max, min), MeasurementBasis(theta, phi))

@@ -13,6 +13,7 @@ from qcorr.correlations import (
     _PLANE,
     _bloch_map,
     _bloch_vectors,
+    _clipped,
     _concurrence,
     _conditional_entropy,
     _entropy_terms,
@@ -737,6 +738,21 @@ def test_report_bell():
     for rho in (werner_state(0.9), random_density_matrix(np.random.default_rng(199))):
         b = correlation_report(rho).argmin_basis
         assert type(b.theta) is float and type(b.phi) is float
+
+
+def test_clipped_floats_with_builtins_match_the_array_form_bitwise():
+    # correlation_report clips floats with max and min, correlation_columns arrays with
+    # np.maximum and np.minimum: each clip active and inactive, ties and signed zeros
+    rng = np.random.default_rng(211)
+    cases = [(0.5, 0.5, 1.0 + 2e-16, 0.2), (0.5, 0.5, 0.4, 0.6), (0.5, 0.5, 0.4, 0.3),
+             (0.5, 0.5, 0.9, 0.0), (0.3, 0.3, 0.6, 0.3), (0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 0.0, -0.0),
+             (0.0, -0.0, 0.0, 0.0), (1e-17, 0.0, 1e-17, 2e-17)]
+    cases += [tuple(rng.uniform(-1e-15, 2.0, 4).tolist()) for _ in range(200)]
+    arrays = _clipped(*np.array(cases).T)
+    for k, case in enumerate(cases):
+        floats = _clipped(*case, max, min)
+        assert all(type(x) is float for x in floats)
+        assert np.array(floats).tobytes() == np.array([a[k] for a in arrays]).tobytes()
 
 
 def test_report_maximally_mixed_and_pure_product():
