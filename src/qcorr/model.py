@@ -11,11 +11,13 @@ eigenvalues (-Jz +- mu)/2 where mu = |beta| = sqrt((Jx+Jy)^2 + 4 Dz^2).
 
 This module builds the spectrum from the two blocks, as the plain pair
 (levels, vecs) of ``hamiltonian_spectrum``, and both model states from
-that one eigenbasis: the Gibbs state exp(-H/T)/Z, and the
-pure-dephasing evolution that damps every coherence between energy
-eigenstates |m>,|n> by exp(-(gamma t / 2)(Em - En)^2) while rotating it by
-exp(-i (Em - En) t).
-Every state is built by one route; the dense Hamiltonian matrix and its
+that one eigenbasis: the Gibbs state exp(-H/T)/Z, and the pure-dephasing
+evolution that damps every coherence between energy eigenstates |m>,|n> by
+exp(-(gamma t / 2)(Em - En)^2) while rotating it by exp(-i (Em - En) t).
+Each state, and the closed form of the dephased Bell pair, has one builder
+that makes an (n, 4, 4) stack over an array of temperatures or times from
+one spectrum; ``thermal_state``, ``milburn_evolve`` and ``milburn_closed_form``
+are its one-row calls.  The dense Hamiltonian matrix and its
 eigendecomposition serve only as test oracles.
 
 All functions are pure; inputs and outputs are treated as immutable.
@@ -84,14 +86,11 @@ class DecoherenceParams:
     time: float
 
     def __post_init__(self):
-        g = _finite("gamma", self.gamma)
-        t = _finite("time", self.time)
-        if g < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {g}")
-        if t < 0.0:
-            raise ValueError(f"time must be >= 0, got {t}")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "time", t)
+        for name in ("gamma", "time"):
+            value = _finite(name, getattr(self, name))
+            if value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 _ENERGY_SCALES = ("mu = hypot(Jx+Jy, 2Dz)", "(Jz + (Jx-Jy))/2", "(Jz - (Jx-Jy))/2",
@@ -134,6 +133,15 @@ def hamiltonian_spectrum(p: ModelParams) -> tuple:
     return vals, vecs
 
 
+@np.errstate(over="ignore")  # an overflowing gap / T leaves a zero weight
+def _gibbs_states(p: ModelParams, temperatures) -> np.ndarray:
+    """The Gibbs states of thermal_state at each temperature, as an (n, 4, 4) stack."""
+    levels, v = hamiltonian_spectrum(p)
+    w = np.exp(-(levels - levels[0]) / np.asarray(temperatures)[:, None])
+    out = (v * (w / w.sum(axis=1, keepdims=True))[:, None, :]) @ v.conj().T
+    return 0.5 * (out + out.conj().swapaxes(1, 2))
+
+
 def thermal_state(tp: ThermalPoint) -> np.ndarray:
     """Gibbs state exp(-H/T)/Z in the eigenbasis of hamiltonian_spectrum.
 
@@ -142,11 +150,7 @@ def thermal_state(tp: ThermalPoint) -> np.ndarray:
     whose ratio to T overflows gets weight exactly 0.  V's exact zeros keep
     the state X-shaped.
     """
-    levels, v = hamiltonian_spectrum(tp.params)
-    with np.errstate(over="ignore"):  # an overflowing gap / T leaves a zero weight
-        w = np.exp(-(levels - levels[0]) / tp.temperature)
-    out = (v * (w / w.sum())) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+    return _gibbs_states(tp.params, [tp.temperature])[0]
 
 
 def bell_initial_state() -> np.ndarray:
@@ -156,6 +160,29 @@ def bell_initial_state() -> np.ndarray:
     return rho
 
 
+def _phases(gaps, times: np.ndarray) -> np.ndarray:
+    """gaps * t under the caller's errstate; NumericFailure names the first t where one overflows."""
+    phases = gaps * times
+    finite = np.isfinite(phases).reshape(times.shape[0], -1).all(axis=1)
+    if not finite.all():
+        raise NumericFailure(f"energy gap times t overflows at t = {times.flat[finite.argmin()]:g}")
+    return phases
+
+
+@np.errstate(over="ignore")  # an overflowing damping leaves a zero coherence
+def _dephased_states(p: ModelParams, gamma: float, times, rho0: np.ndarray) -> np.ndarray:
+    """rho0 evolved as in milburn_evolve to each time, as an (n, 4, 4) stack; rho0 is checked once."""
+    rho0 = validated_spectrum(rho0)[0]
+    levels, v = hamiltonian_spectrum(p)
+    coeff = v.conj().T @ rho0 @ v
+    gaps = levels[:, None] - levels[None, :]
+    times = np.asarray(times, dtype=float)[:, None, None]
+    phases = _phases(gaps, times)
+    damping = 0.5 * (math.sqrt(gamma) * np.sqrt(times) * gaps) ** 2
+    out = v @ (coeff * np.exp(-damping - 1j * phases)) @ v.conj().T
+    return 0.5 * (out + out.conj().swapaxes(1, 2))
+
+
 def milburn_evolve(dp: DecoherenceParams, rho0: np.ndarray) -> np.ndarray:
     """Pure-dephasing evolution of rho0 in the energy eigenbasis.
 
@@ -163,28 +190,35 @@ def milburn_evolve(dp: DecoherenceParams, rho0: np.ndarray) -> np.ndarray:
 
     with |m>, Em from hamiltonian_spectrum; rho0 is checked by
     linalg.validated_spectrum, which raises ValueError for a non-state.
+    The damping is formed as (sqrt(gamma) sqrt(t) (Em-En))^2 / 2, so no gamma t / 2 underflows.
 
     At gamma = 0 this is exactly the unitary evolution exp(-iHt) rho0 exp(iHt);
     for gamma > 0 the energy-basis diagonal is conserved and purity is
     non-increasing in t.
     """
-    rho0 = validated_spectrum(rho0)[0]
-    levels, v = hamiltonian_spectrum(dp.params)
-    coeff = v.conj().T @ rho0 @ v
-    gaps = levels[:, None] - levels[None, :]
-    rate = 0.5 * dp.gamma * dp.time
-    with np.errstate(over="ignore"):  # an overflowing damping leaves a zero coherence
-        if 0.0 < rate < math.inf:
-            damping = rate * gaps**2
-        else:  # gamma t = 0, or gamma t / 2 under- or overflows: no 0 * inf on the
-            # gaps, and no 0.5 * gamma, which is 0 at gamma = 5e-324
-            damping = 0.5 * (math.sqrt(dp.gamma) * math.sqrt(dp.time) * gaps) ** 2
-        phases = gaps * dp.time
-    if not np.isfinite(phases).all():
-        raise NumericFailure(f"energy gap times t overflows at t = {dp.time:g}")
-    kernel = np.exp(-damping - 1j * phases)
-    out = v @ (coeff * kernel) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+    return _dephased_states(dp.params, dp.gamma, [dp.time], rho0)[0]
+
+
+@np.errstate(over="ignore")  # an overflowing exponent leaves a zero envelope
+def _bell_closed_forms(p: ModelParams, gamma: float, times) -> np.ndarray:
+    """The closed-form states of milburn_closed_form at each time, as an (n, 4, 4) stack."""
+    times = np.asarray(times, dtype=float)
+    mu = _block_levels(p)[0]
+    if mu == 0.0:  # beta = 0: the Bell pair is an eigenstate and nothing moves
+        return np.tile(bell_initial_state(), (times.size, 1, 1))
+    rho = np.zeros((times.size, 4, 4), dtype=complex)
+    angle = _phases(mu, times)
+    env = np.exp(-0.5 * (math.sqrt(gamma) * np.sqrt(times) * mu) ** 2)
+    wobble = p.dz * env * np.sin(angle) / mu
+    rho[:, 1, 1] = 0.5 + wobble
+    rho[:, 2, 2] = 0.5 - wobble
+    # (beta / mu) ((...) / mu) in real parts: mu * mu may underflow, and 1 / mu overflow
+    b1, b2 = (p.jx + p.jy) / mu, 2.0 * p.dz / mu
+    c2 = -(2.0 * p.dz * env * np.cos(angle)) / mu
+    rho23 = rho[:, 1, 2]
+    rho23.real, rho23.imag = (b1 * b1 - b2 * c2) / 2.0, (b1 * c2 + b2 * b1) / 2.0
+    rho[:, 2, 1] = rho23.conj()
+    return rho
 
 
 def milburn_closed_form(dp: DecoherenceParams) -> np.ndarray:
@@ -200,25 +234,4 @@ def milburn_closed_form(dp: DecoherenceParams) -> np.ndarray:
     normalization this agrees with milburn_evolve(bell_initial_state()) to
     machine precision, independent of Jz.
     """
-    p = dp.params
-    mu = _block_levels(p)[0]
-    rho = np.zeros((4, 4), dtype=complex)
-    if mu == 0.0:
-        # beta = 0: the Bell pair is an eigenstate and nothing moves
-        return bell_initial_state()
-    if 0.5 * dp.gamma > 0.0 and dp.time > 0.0:
-        env = math.exp(-0.5 * dp.gamma * mu * mu * dp.time)
-    else:  # gamma t = 0, where 0 * mu * mu could be 0 * inf, or 0.5 * gamma underflows
-        root = math.sqrt(dp.gamma) * math.sqrt(dp.time) * mu
-        env = math.exp(-0.5 * root * root)
-    angle = mu * dp.time
-    if not math.isfinite(angle):
-        raise NumericFailure(f"energy gap times t overflows at t = {dp.time:g}")
-    wobble = p.dz * env * math.sin(angle) / mu
-    rho[1, 1] = 0.5 + wobble
-    rho[2, 2] = 0.5 - wobble
-    jsum = p.jx + p.jy
-    # (beta / mu) and (...) / mu each stay bounded; mu * mu may underflow
-    rho[1, 2] = (p.beta / mu) * ((jsum - 2j * p.dz * env * math.cos(angle)) / mu) / 2.0
-    rho[2, 1] = rho[1, 2].conjugate()
-    return rho
+    return _bell_closed_forms(dp.params, dp.gamma, [dp.time])[0]

@@ -14,12 +14,11 @@ than one step so that stop is always covered.  ``SweepConfig.axis`` holds
 the temperatures in thermal mode and the times in decoherence mode.  Rows are
 ordered lexicographically by (dz, axis) and every run of the same configuration
 produces a byte-identical file.  Sweep points are independent of each other;
-``run_sweep`` builds the states of one Dz block point by point in grid
-order, picking the state builder by mode, and hands the block to
-``correlation_columns`` in one call, which minimizes the discord of the whole
-block at once.  It returns one float table whose columns follow the mode's
-header; ``emit_csv`` writes it, and ``find_zero_runs`` scans its concurrence
-column one Dz block at a time.
+``run_sweep`` builds the states of each Dz block as one stack, in one call of
+the mode's builder in ``qcorr.model``, and hands it to ``correlation_columns``,
+which minimizes the discord of the whole block at once.  It returns one float
+table whose columns follow the mode's header; ``emit_csv`` writes it, and
+``find_zero_runs`` scans its concurrence column one Dz block at a time.
 """
 
 from __future__ import annotations
@@ -34,15 +33,7 @@ import numpy as np
 
 from .correlations import correlation_columns
 from .errors import ConfigError, OutputError
-from .model import (
-    DecoherenceParams,
-    ModelParams,
-    ThermalPoint,
-    bell_initial_state,
-    milburn_closed_form,
-    milburn_evolve,
-    thermal_state,
-)
+from .model import ModelParams, _bell_closed_forms, _dephased_states, _gibbs_states, bell_initial_state
 
 # at this T the fig1 Gibbs states already equal their ground state to 1e-16 (README)
 THERMAL_FLOOR = 0.01
@@ -71,9 +62,9 @@ class AxisRange:
         if not math.isfinite((self.stop - self.start) / self.step):
             raise ConfigError(f"range {self.start}:{self.stop}:{self.step} has too many points")
         if self.count < 1:
-            raise ConfigError(
-                f"empty range {self.start}:{self.stop}:{self.step} (stop < start)"
-            )
+            raise ConfigError(f"empty range {self.start}:{self.stop}:{self.step} (stop < start)")
+        if not math.isfinite(self.start + self.step * (self.count - 1)):
+            raise ConfigError(f"range {self.start}:{self.stop}:{self.step} overflows at its last point")
 
     @property
     def count(self) -> int:
@@ -129,6 +120,8 @@ class SweepConfig:
                 raise ConfigError("--time-range: time must start at >= 0")
             if self.gamma < 0.0:
                 raise ConfigError(f"--gamma must be >= 0, got {self.gamma}")
+            if not math.isfinite(self.gamma):
+                raise ConfigError(f"--gamma must be finite, got {self.gamma}")
         rows = (self.dz_range.count if self.dz_range is not None else 1) * self.axis.count
         if rows > MAX_GRID_ROWS:
             # a count past 1e308 overflows a float, so the short form comes from Decimal
@@ -158,25 +151,19 @@ def run_sweep(cfg: SweepConfig) -> np.ndarray:
     mode's CSV header.  A row with a non-finite value or a measure below -1e-9
     raises ValueError naming the first such row.
     """
-    thermal = cfg.mode == "thermal"
     dzs = cfg.dz_range.values() if cfg.dz_range is not None else np.array([cfg.params.dz])
     xs = cfg.axis.values()
-    rho0 = None if thermal else bell_initial_state()
     blocks = []
     for dz in dzs:
         params = replace(cfg.params, dz=float(dz))
-        states, devs = [], []
-        for x in xs:
-            if thermal:
-                states.append(thermal_state(ThermalPoint(params, float(x))))
-            else:
-                dp = DecoherenceParams(params, cfg.gamma, float(x))
-                states.append(milburn_evolve(dp, rho0))
-                devs.append(np.abs(states[-1] - milburn_closed_form(dp)).max())
+        if cfg.mode == "thermal":
+            states, devs = _gibbs_states(params, xs), []
+        else:
+            states = _dephased_states(params, cfg.gamma, xs, bell_initial_state())
+            devs = [np.abs(states - _bell_closed_forms(params, cfg.gamma, xs)).max(axis=(1, 2))]
         cols = correlation_columns(states)
-        block = [np.full(xs.size, dz), xs, cols.concurrence, cols.classical_correlation,
-                 cols.quantum_discord, cols.mutual_information]
-        blocks.append(np.column_stack(block if thermal else block + [devs]))
+        blocks.append(np.column_stack([np.full(xs.size, dz), xs, cols.concurrence, cols.classical_correlation,
+                                       cols.quantum_discord, cols.mutual_information, *devs]))
     table = np.concatenate(blocks)
     values = table[:, :6]
     finite = np.isfinite(values).all(axis=1)

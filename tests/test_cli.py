@@ -327,8 +327,17 @@ def test_main_abbreviated_flags_are_unrecognized(tmp_path, capsys):
       "--t-range", "0.01:0.010000000000000005:1e-18"], None,
      "--t-range: range 0.01:0.010000000000000005:1e-18 repeats grid points "
      "(step below the float spacing of its values)"),
+    # a last grid point past the float range, which numpy's arange would make inf
+    (["thermal", "--jx", "1", "--jy", "1", "--jz", "1", "--dz", "0",
+      "--t-range", "1e308:1.7e308:1e308"], None,
+     "--t-range: range 1e+308:1.7e+308:1e+308 overflows at its last point"),
+    (["decohere", "--jx", "1", "--jy", "1", "--dz", "0", "--gamma", "0.1",
+      "--time-range", "1e308:1.7e308:1e308"], None,
+     "--time-range: range 1e+308:1.7e+308:1e+308 overflows at its last point"),
+    (["thermal", "--dz-range", "1e308:1.7e308:1e308", "--t-range", "1:1:1"], None,
+     "--dz-range: range 1e+308:1.7e+308:1e+308 overflows at its last point"),
 ], ids=["not-a-number", "no-equals", "unknown-preset", "mode-conflict", "nan-range",
-        "repeated-dz", "repeated-t"])
+        "repeated-dz", "repeated-t", "overflowing-t", "overflowing-time", "overflowing-dz"])
 def test_main_config_error_exits_2_without_output(tmp_path, capsys, argv, file_text, message):
     path = tmp_path / "run.ini"
     config = []

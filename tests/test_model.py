@@ -7,6 +7,9 @@ from qcorr.model import (
     DecoherenceParams,
     ModelParams,
     ThermalPoint,
+    _bell_closed_forms,
+    _dephased_states,
+    _gibbs_states,
     bell_initial_state,
     hamiltonian_spectrum,
     milburn_closed_form,
@@ -371,3 +374,48 @@ def test_overflowing_energy_scale_is_named(params, scale):
         with pytest.raises(NumericFailure) as info:
             build()
         assert str(info.value) == f"energy scale {scale} overflows"
+
+
+def test_block_rows_equal_the_one_row_calls_bitwise():
+    # one stack per builder mixes the edge cases the one-row calls cover on
+    # their own: gap / T overflowing at Dz = 1e307, T = 0.01, and T = 1e308;
+    # t = 0, gamma = 5e-324 and gaps squared overflowing at 1e200 couplings;
+    # mu = 0, and a subnormal mu, whose reciprocal overflows
+    for p in (ModelParams(1.0, 1.0, 1.0, 1e307), FIG1_PARAMS):
+        temperatures = np.array([0.01, 0.37, 2.0, 5e307, 1e308])
+        block = _gibbs_states(p, temperatures)
+        assert block.shape == (5, 4, 4)
+        for rho, t in zip(block, temperatures):
+            assert np.array_equal(rho, thermal_state(ThermalPoint(p, float(t))))
+    rho0 = random_density_matrix(np.random.default_rng(83))
+    huge = ModelParams(1e200, 1e200, 0.0, 1e200)
+    cases = ((huge, 5e-324, [0.0, 1e-30, 1.0, 2.5]), (huge, 0.1, [0.0, 1.0]), (huge, 1e308, [0.0, 1e10]),
+             (ModelParams(0.0, 0.0, 0.0, 0.0), 0.2, [0.0, 1.0]),
+             (ModelParams(0.0, 0.0, 0.0, 2.225073858507e-311), 0.1, [0.0, 1.0]),
+             (ModelParams(0.03, 0.06, 0.0, 6.0), 0.01, np.linspace(0.0, 6.0, 7)))
+    for p, gamma, times in cases:
+        evolved, closed = _dephased_states(p, gamma, times, rho0), _bell_closed_forms(p, gamma, times)
+        bell = _dephased_states(p, gamma, times, bell_initial_state())
+        assert evolved.shape == closed.shape == bell.shape == (len(times), 4, 4)
+        assert np.isfinite(closed).all() and np.abs(bell - closed).max() <= 1e-14
+        for k, t in enumerate(times):
+            dp = DecoherenceParams(p, gamma, float(t))
+            assert np.array_equal(evolved[k], milburn_evolve(dp, rho0))
+            assert np.array_equal(bell[k], milburn_evolve(dp, bell_initial_state()))
+            assert np.array_equal(closed[k], milburn_closed_form(dp))
+
+
+def test_block_names_its_first_overflowing_time():
+    # gap * t overflows from t = 1e200 on at 1e200 couplings: the block fails
+    # with the text of the one-row call at its first such t
+    p = ModelParams(1e200, 1e200, 0.0, 1e200)
+    times = [1.0, 1e200, 1e250]
+    for block, one in ((lambda: _dephased_states(p, 0.1, times, bell_initial_state()),
+                        lambda: milburn_evolve(DecoherenceParams(p, 0.1, 1e200), bell_initial_state())),
+                       (lambda: _bell_closed_forms(p, 0.1, times),
+                        lambda: milburn_closed_form(DecoherenceParams(p, 0.1, 1e200)))):
+        with pytest.raises(NumericFailure) as info:
+            block()
+        with pytest.raises(NumericFailure) as single:
+            one()
+        assert str(info.value) == str(single.value) == "energy gap times t overflows at t = 1e+200"

@@ -311,6 +311,9 @@ def test_config_validation_messages():
         decoherence_config(axis=AxisRange(-1.0, 1.0, 0.5))
     with pytest.raises(ConfigError):
         decoherence_config(gamma=-0.5)
+    for gamma in (float("inf"), float("nan")):  # the states are built with no further check
+        with pytest.raises(ConfigError, match="^--gamma must be finite"):
+            decoherence_config(gamma=gamma)
     with pytest.raises(ConfigError):
         thermal_config(output_path="")
 
