@@ -28,7 +28,11 @@ same with -n.  The block of qubit A left by outcome n,
 M(n) = tr_B[rho (1 x (1 + n.sigma)/2)], is affine in n (Luo, PRA 77,
 042303 (2008)), so the evaluator works on unit vectors and calls no trig:
 the real 4x4 map g of the state (``_bloch_map``) takes (1, n) to the
-entries of M(n) and (1, -n) to those of M(-n).
+entries of M(n) and (1, -n) to those of M(-n).  The evaluator
+(``_conditional_entropy``) builds both blocks into one buffer and reduces
+them in place, through the same float operations in the same order as a
+fresh array per step, so each value, sign of zero included, is that of the
+fresh-array form to the last bit; ``_search`` stops on an exact 0.
 
 A state with |rho11 - rho44|, |rho22 - rho33| and every off-X entry (off
 the diagonal and the anti-diagonal) at most the one tolerance ``_LUO_TOL``
@@ -127,8 +131,7 @@ _STENCIL = np.linspace(-2.0, 2.0, 17)
 _PLANE = np.stack(np.meshgrid(_STENCIL, _STENCIL, indexing="ij"), axis=-1).reshape(-1, 2)
 _REFINE_MIN_STEP = 1e-9
 _LUO_THETA = GRID_THETA[[0, -1]]  # the Luo exit's two axes, sigma_z and the equator at phi*
-_SIGNS = np.array([1.0, -1.0])  # the outcomes n and -n
-for _a in (_OFF_X, _GATE, _ANTI, _LUO_THETA, _SIGNS, GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _PLANE):
+for _a in (_OFF_X, _GATE, _ANTI, _LUO_THETA, GRID_THETA, GRID_PHI, _GRID_ANGLES, _GRID, _STENCIL, _PLANE):
     _a.setflags(write=False)
 
 
@@ -165,17 +168,27 @@ def _concurrence(lam: np.ndarray, vecs: np.ndarray) -> float:
 
 
 def _entropy_terms(n00, n11, n01_sq) -> np.ndarray:
-    """p * S(block / p) = p log2 p - sum(l log2 l) for 2x2 blocks given as entry arrays.
+    """p * S(block / p) = p log2 p - sum(l log2 l) for 2x2 blocks given as entry arrays of one shape.
 
     The block [[n00, n01], [conj(n01), n11]], with n01_sq = |n01|^2, has
     trace p and eigenvalues l; for a conditioned block of qubit A, p is the
     outcome probability.  Nothing divides by p, so every outcome counts,
-    with 0 log 0 = 0; round-off below zero is clipped.
+    with 0 log 0 = 0; round-off below zero is clipped.  p and both l fill
+    one (3, ...) buffer, which ``_xlog2x`` then takes in place.
     """
-    p = n00 + n11
-    disc = np.sqrt((n00 - n11) ** 2 + 4.0 * n01_sq)
-    x = _xlog2x(np.array((p, 0.5 * (p + disc), 0.5 * (p - disc))))
-    return np.maximum(x[0] - x[1] - x[2], 0.0)
+    x = np.empty((3,) + n00.shape)
+    p = np.add(n00, n11, out=x[0, ...])
+    d = np.subtract(n00, n11, out=x[2, ...])
+    disc = np.multiply(n01_sq, 4.0, out=x[1, ...])
+    disc += np.square(d, out=d)
+    np.sqrt(disc, out=disc)
+    np.subtract(p, disc, out=x[2, ...])
+    disc += p
+    x[1:] *= 0.5
+    _xlog2x(x)
+    t = np.subtract(x[0, ...], x[1, ...], out=x[1, ...])
+    t -= x[2, ...]
+    return np.maximum(t, 0.0, out=t)
 
 
 # 1, sigma_x, sigma_y, sigma_z
@@ -204,12 +217,21 @@ def _bloch_map(rho: np.ndarray) -> np.ndarray:
 def _conditional_entropy(g: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Measured conditional entropy at each unit Bloch vector n (last axis of 3) of each map g.
 
-    g is (..., 4, 4) and n is (..., m, 3) over the same leading axes; the
-    result is (..., m).  Outcome 0 of the basis is n and outcome 1 is -n;
-    both blocks g[:, 0] +- g[:, 1:] n come from one product.
+    g is (..., 4, 4) and n is (..., m, 3) over the same leading axes, or
+    one vector (3,); the result is (..., m), or (...,) for one vector.
+    Outcome 0 of the basis is n and outcome 1 is -n.  One product gives
+    the linear parts g[:, 1:] n as rows of m, and both outcomes' blocks
+    g[:, 0] +- g[:, 1:] n fill one (2, ..., 4, m) buffer.
     """
-    m = g[..., None, :, 0] + np.multiply.outer(_SIGNS, n @ g[..., 1:].swapaxes(-1, -2))
-    terms = _entropy_terms(m[..., 0], m[..., 1], m[..., 2] ** 2 + m[..., 3] ** 2)
+    if n.ndim == 1:
+        return _conditional_entropy(g, n[None])[..., 0]
+    lin = g[..., 1:] @ n.swapaxes(-1, -2)
+    m = np.empty((2,) + lin.shape)
+    np.add(g[..., 0, None], lin, out=m[0])
+    np.subtract(g[..., 0, None], lin, out=m[1])
+    n01_sq = np.square(m[..., 2, :], out=m[..., 2, :])
+    n01_sq += np.square(m[..., 3, :], out=m[..., 3, :])
+    terms = _entropy_terms(m[..., 0, :], m[..., 1, :], n01_sq)
     return terms[0] + terms[1]
 
 

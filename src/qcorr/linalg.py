@@ -46,13 +46,18 @@ def validated_spectrum(rho: np.ndarray):
     return rho, lam, vecs
 
 
-def _xlog2x(x) -> np.ndarray:
-    """x log2 x elementwise, 0 where x <= 0 (0 log 0 = 0; negative round-off counts as 0)."""
-    pos = x > 0.0
-    return np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise in place in the float array x, which it returns; 0 where x <= 0.
+
+    0 log 0 = 0, and negative round-off counts as 0: those entries become 1
+    first, and 1 log2 1 is exactly 0.
+    """
+    np.copyto(x, 1.0, where=~(x > 0.0))
+    x *= np.log2(x)
+    return x
 
 
 def _spectrum_entropy(lam: np.ndarray) -> float:
     """-sum(lam log2 lam) in bits from the checked eigenvalues of a state, clipped to [0, log2 n]."""
-    s = float(-_xlog2x(lam).sum())
+    s = float(-_xlog2x(lam.copy()).sum())
     return min(max(s, 0.0), float(np.log2(lam.size)))

@@ -6,7 +6,10 @@ spectra come from dense LAPACK eigendecompositions rather than the
 package's parity-block closed forms, reduced states are np.trace over the
 other qubit's axes, entropies come from eigvalsh spectra, the dense
 measurement search contracts explicit projector matrices, and the
-Bell-diagonal discord comes from its analytic closed form.
+Bell-diagonal discord comes from its analytic closed form.  The one
+exception is ``conditional_entropy_reference``: the package's evaluator in
+its fresh-array form, against which the in-place kernel must agree bit for
+bit.
 """
 
 from typing import NamedTuple
@@ -169,6 +172,40 @@ def explicit_conditional_entropy(rho, theta, phi):
         lam = lam[lam > 1e-12]
         total += p * float(-(lam * np.log2(lam)).sum())
     return total
+
+
+def _xlog2x_reference(x):
+    """x log2 x elementwise, 0 where x <= 0 (0 log 0 = 0; negative round-off counts as 0)."""
+    pos = x > 0.0
+    return np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
+
+
+def entropy_terms_reference(n00, n11, n01_sq):
+    """p * S(block / p) for 2x2 blocks given as entry arrays, a fresh array per step.
+
+    The reference for the package's in-place ``_entropy_terms``: the same
+    float operations in the same order, so the two agree bit for bit, sign
+    of zero included.
+    """
+    p = n00 + n11
+    disc = np.sqrt((n00 - n11) ** 2 + 4.0 * n01_sq)
+    x = _xlog2x_reference(np.array((p, 0.5 * (p + disc), 0.5 * (p - disc))))
+    return np.maximum(x[0] - x[1] - x[2], 0.0)
+
+
+_OUTCOME_SIGNS = np.array([1.0, -1.0])
+
+
+def conditional_entropy_reference(g, n):
+    """Measured conditional entropy at unit Bloch vectors n (last axis of 3) of real 4x4 Bloch maps g.
+
+    Both outcome blocks g[:, 0] +- g[:, 1:] n come from one outer product
+    of the signs (1, -1) with n g[:, 1:]^T, a fresh array per step: the
+    reference for the package's in-place ``_conditional_entropy``.
+    """
+    m = g[..., None, :, 0] + np.multiply.outer(_OUTCOME_SIGNS, n @ g[..., 1:].swapaxes(-1, -2))
+    terms = entropy_terms_reference(m[..., 0], m[..., 1], m[..., 2] ** 2 + m[..., 3] ** 2)
+    return terms[0] + terms[1]
 
 
 def x_state_phase(rho):

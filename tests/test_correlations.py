@@ -28,6 +28,7 @@ from qcorr.model import (
     DecoherenceParams,
     ModelParams,
     ThermalPoint,
+    _dephased_states,
     bell_initial_state,
     milburn_evolve,
     thermal_state,
@@ -38,12 +39,15 @@ from oracles import (
     SY,
     bell_diagonal_exact,
     bell_diagonal_state,
+    conditional_entropy_reference,
     dense_grid_min_conditional_entropy,
     eigvalsh_entropy,
+    entropy_terms_reference,
     explicit_conditional_entropy,
     gibbs_sudden_change_dz,
     random_bell_diagonal,
     random_density_matrix,
+    random_pure_state,
     random_rank2_x_state,
     random_unitary,
     random_x_state,
@@ -499,6 +503,24 @@ def test_search_stops_once_the_minimum_is_zero(monkeypatch):
     assert calls == [(4224, 3)]
 
 
+@pytest.mark.parametrize("preset", ["fig2-lower", "fig2-upper"])
+def test_search_stops_after_its_coarse_pass_on_every_fig2_row(monkeypatch, preset):
+    # Every row of both fig2 presets, built as run_sweep builds them, reads
+    # exactly 0.0 at the pole; so the rows outside the Luo exit (t > 0) stop
+    # after the coarse pass.  A last-bit change in the evaluator there would
+    # add 13 refinement rounds per row without changing any output.
+    cfg = parse_config(["decohere", "--preset", preset, "--out", "x.csv"])
+    states = _dephased_states(cfg.params, cfg.gamma, cfg.axis.values(), bell_initial_state())
+    assert len(states) == 1201
+    pole = _conditional_entropy(_bloch_map(states), np.array([[0.0, 0.0, 1.0]]))
+    assert np.array_equal(pole, np.zeros((1201, 1)))
+    calls = _evaluation_calls(monkeypatch)
+    _, _, smin = _minimize(states)
+    assert calls[0] == (1201, 2, 3)  # the Luo exit's stacked pass: the t = 0 row takes it
+    assert calls[1:] == [(4224, 3)] * 1200
+    assert np.array_equal(smin, np.zeros(1201))
+
+
 def test_search_above_zero_runs_every_round(monkeypatch):
     # a rank-2 X state leaves A mixed after sigma_z on B, so S > 0 at the pole
     # and the refinement runs all 13 rounds, dt = pi/128 down to 1e-9
@@ -815,6 +837,58 @@ def test_entropy_terms_count_every_eigenvalue_and_every_outcome():
     exact = -p * (0.3 * math.log2(0.3) + 0.7 * math.log2(0.7))
     got = float(_entropy_terms(np.array(0.3 * p), np.array(0.7 * p), np.array(0.0)))
     assert got == pytest.approx(exact, rel=1e-9)
+
+
+def _evaluator_maps():
+    """Bloch maps g for the evaluator's bitwise check.
+
+    The dephased Bell pair at t = 0 and t > 0, random full-rank and rank-2
+    states, near-pure X states, a product state whose outcome -z has
+    probability 0, and one whose block at -z has p = -1.4e-17 from round-off.
+    """
+    rng = np.random.default_rng(239)
+    states = list(_dephased_states(ModelParams(0.2, 0.4, 0.8, 1.0), 0.1, [0.0, 0.5, 7.0], bell_initial_state()))
+    for _ in range(4):
+        w = rng.random()
+        rank2 = w * random_pure_state(rng) + (1.0 - w) * random_pure_state(rng)
+        states += [random_density_matrix(rng), rank2, random_rank2_x_state(rng)]
+    states += [rho for i, rho in enumerate(_symmetric_x_states(rng, 8)) if i % 4 == 0]  # near-pure
+    states.append(np.kron(random_density_matrix(rng, 2), np.diag([1.0, 0.0])))
+    g = _bloch_map(np.array(states))
+    leak = np.zeros((4, 4))
+    leak[:, 0] = leak[:, 3] = [0.1, 0.0, 0.0, 0.0]
+    leak[0, 3] = np.nextafter(0.1, 1.0)  # n00 at -z is 0.1 - (0.1 + 1 ulp)
+    assert -1e-16 < leak[0, 0] - leak[0, 3] < 0.0
+    return np.concatenate([g, leak[None]])
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_evaluator_matches_the_outer_product_reference_bit_for_bit():
+    # The in-place kernel makes the same float operations in the same order
+    # as the reference, so every value and every sign of zero must agree:
+    # _search stops on an exact 0.0 and ties break at 1e-12.
+    g = _evaluator_maps()
+    pole = np.array([0.0, 0.0, 1.0])
+    stencil = pole + 2.0 * float(GRID_THETA[1]) * np.column_stack([_PLANE, np.zeros(len(_PLANE))])
+    stencil /= np.linalg.norm(stencil, axis=1)[:, None]
+    luo = _bloch_vectors(GRID_THETA[[0, -1]], np.random.default_rng(241).uniform(0.0, 2.0 * np.pi, (len(g), 1)))
+    with np.errstate(all="raise"):
+        for gk in g:
+            for n in (_GRID, stencil, pole, -pole, _GRID[1000]):
+                assert _bitwise_equal(_conditional_entropy(gk, n), conditional_entropy_reference(gk, n))
+        assert _bitwise_equal(_conditional_entropy(g, luo), conditional_entropy_reference(g, luo))
+        entries = np.stack([g[:, 0, 0] + g[:, 0, 3], g[:, 1, 0] + g[:, 1, 3], (g[:, 2, 0] + g[:, 2, 3]) ** 2])
+        for n00, n11, n01_sq in entries.T:  # 0-d blocks
+            args = np.array(n00), np.array(n11), np.array(n01_sq)
+            assert _bitwise_equal(_entropy_terms(*args), entropy_terms_reference(*args))
+        for k in range(0, len(g) - 1, 2):  # (2,) blocks, as the reduced states
+            args = entries[:, k : k + 2]
+            assert _bitwise_equal(_entropy_terms(*args), entropy_terms_reference(*args))
+    assert _conditional_entropy(g[-1], -pole) == 0.0  # p < 0 counts as 0
 
 
 def test_report_mutual_information_matches_eigvalsh_entropies():
