@@ -77,13 +77,14 @@ minimum, else the refined point is; the reported S_min is the minimum
 itself.
 
 ``correlation_columns`` validates and decomposes each state on its own
-(C, S_A, S_B and S_AB), then makes one ``_minimize`` call for the whole
-stack and clips I, CC and QD as array operations; ``correlation_report``
-runs the same three steps on a stack of one.  Everything behind the
-validation takes a checked state.  Every step works row by row, so a
-state's measures do not depend on the other rows of its stack, and
-``run_sweep``, which calls ``correlation_columns`` once per Dz block,
-writes exactly what ``correlation_report`` gives point by point.
+(its eigendecomposition, S_A, S_B and S_AB), then makes one ``_minimize``
+call and one ``_concurrence`` call, a batched SVD, for the whole stack and
+clips I, CC and QD as array operations; ``correlation_report`` runs the
+same steps on a stack of one.  Everything behind the validation takes a
+checked state.  Every step works row by row, so a state's measures do not
+depend on the other rows of its stack, and ``run_sweep``, which calls
+``correlation_columns`` once per Dz block, writes exactly what
+``correlation_report`` gives point by point.
 Everything here is pure and deterministic.
 """
 
@@ -160,11 +161,17 @@ class CorrelationReport:
     argmin_basis: MeasurementBasis
 
 
-def _concurrence(lam: np.ndarray, vecs: np.ndarray) -> float:
-    """Concurrence from the state's eigenvalues and eigenvectors (module docstring)."""
-    x = vecs * np.sqrt(np.maximum(lam, 0.0))
-    sv = np.linalg.svd(x.T @ _Y4 @ x, compute_uv=False)  # descending
-    return min(max(float(sv[0] - sv[1] - sv[2] - sv[3]), 0.0), 1.0)
+def _concurrence(lam: np.ndarray, vecs: np.ndarray, maximum=np.maximum, minimum=np.minimum):
+    """C from eigenvalues (..., 4) and eigenvector columns (..., 4, 4): one batched SVD (module docstring).
+
+    LAPACK decomposes each matrix on its own, so a row's C does not depend on
+    its stack; ``correlation_report`` passes the builtins max and min, as to ``_clipped``.
+    """
+    x = vecs * np.sqrt(np.maximum(lam, 0.0))[..., None, :]
+    sv = np.linalg.svd(x.swapaxes(-1, -2) @ _Y4 @ x, compute_uv=False)  # descending
+    s0, s1, s2, s3 = sv.T  # numpy scalars for one state; .T reverses the leading axes, which c.T undoes
+    c = (s0 - s1 - s2 - s3).T
+    return minimum(maximum(c, 0.0), 1.0)
 
 
 def _entropy_terms(n00, n11, n01_sq) -> np.ndarray:
@@ -305,12 +312,12 @@ def _search(g: np.ndarray, coarse: np.ndarray, angles: np.ndarray, stencil: np.n
 
 
 def _local_measures(rho: np.ndarray):
-    """(validated rho, (C, S_A, S_B, S_AB)) of one state: every measure but the discord minimization."""
+    """(validated rho, eigenvalues, eigenvectors, (S_A, S_B, S_AB)) of one state; C and S_min come stacked."""
     rho, lam, vecs = validated_spectrum(rho)
     r4 = rho.reshape(2, 2, 2, 2)
     r = np.stack((np.einsum("abcb->ac", r4), np.einsum("abad->bd", r4)))  # rho_A, rho_B
     sa, sb = _entropy_terms(r[:, 0, 0].real, r[:, 1, 1].real, np.abs(r[:, 0, 1]) ** 2).tolist()
-    return rho, (_concurrence(lam, vecs), sa, sb, _spectrum_entropy(lam))
+    return rho, lam, vecs, (sa, sb, _spectrum_entropy(lam))
 
 
 class CorrelationColumns(NamedTuple):
@@ -325,20 +332,22 @@ class CorrelationColumns(NamedTuple):
 
 
 def correlation_columns(states) -> CorrelationColumns:
-    """All four measures of a non-empty sequence of states: one spectrum per state, one stacked minimization.
+    """All four measures of a non-empty sequence of states: one spectrum per state, stacked C and S_min.
 
-    Each state is validated and decomposed on its own; the discord
-    minimization (``_minimize``) takes them all at once: two evaluations
-    where Luo's theorem applies, one search elsewhere.  0 <= CC <= I and
+    Each state is validated and decomposed on its own; the concurrence
+    (``_concurrence``, one batched SVD) and the discord minimization
+    (``_minimize``) take them all at once: two evaluations where Luo's
+    theorem applies, one search elsewhere.  0 <= CC <= I and
     0 <= QD <= I hold exactly: I >= 0 is subadditivity, CC >= 0 holds
     because no measurement leaves more conditional entropy than S(rho_A)
     (concavity), and CC <= I is QD >= 0, so each clip only removes
     round-off.  A search that stops above the true minimum still shows as
     too low a CC.
     """
-    checked, local = zip(*map(_local_measures, states))
-    c, sa, sb, sab = np.array(local).T
+    checked, lam, vecs, local = zip(*map(_local_measures, states))
+    sa, sb, sab = np.array(local).T
     theta, phi, smin = _minimize(np.array(checked))
+    c = _concurrence(np.array(lam), np.array(vecs))
     return CorrelationColumns(c, *_clipped(sa, sb, sab, smin), theta, phi)
 
 
@@ -357,9 +366,10 @@ def _clipped(sa, sb, sab, smin, maximum=np.maximum, minimum=np.minimum):
 def correlation_report(rho: np.ndarray) -> CorrelationReport:
     """All four measures of one state and its argmin basis: the one row of ``correlation_columns``.
 
-    It runs the same three steps on a stack of one state, without building
-    the columns.
+    It runs the same steps on a stack of one state, without building the
+    columns.
     """
-    rho, (c, sa, sb, sab) = _local_measures(rho)
+    rho, lam, vecs, (sa, sb, sab) = _local_measures(rho)
     theta, phi, smin = (x.item() for x in _minimize(rho[None]))
+    c = float(_concurrence(lam, vecs, max, min))
     return CorrelationReport(c, *_clipped(sa, sb, sab, smin, max, min), MeasurementBasis(theta, phi))

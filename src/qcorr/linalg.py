@@ -12,6 +12,8 @@ every one of them is built from the kernel x log2 x with 0 log 0 = 0
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -60,4 +62,4 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
 def _spectrum_entropy(lam: np.ndarray) -> float:
     """-sum(lam log2 lam) in bits from the checked eigenvalues of a state, clipped to [0, log2 n]."""
     s = float(-_xlog2x(lam.copy()).sum())
-    return min(max(s, 0.0), float(np.log2(lam.size)))
+    return min(max(s, 0.0), math.log2(lam.size))

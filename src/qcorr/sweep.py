@@ -177,8 +177,10 @@ def run_sweep(cfg: SweepConfig) -> np.ndarray:
 
 def emit_csv(table: np.ndarray, path: str, mode: str) -> None:
     """Write the mode's header plus the table's rows, 12 significant digits, newline-terminated."""
-    lines = [THERMAL_HEADER if mode == "thermal" else DECOHERENCE_HEADER]
-    lines += (",".join(format(x, ".12g") for x in row) for row in np.asarray(table).tolist())
+    header = THERMAL_HEADER if mode == "thermal" else DECOHERENCE_HEADER
+    row_format = ",".join(["%.12g"] * (header.count(",") + 1))  # the text of format(x, ".12g") per column
+    lines = [header]
+    lines += (row_format % tuple(row) for row in np.asarray(table).tolist())
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -162,6 +162,50 @@ def test_concurrence_exact_on_rotated_rank2_x_states():
             assert abs(correlation_report(rotated).concurrence - expected) <= 1e-12
 
 
+def _concurrence_stack(rng):
+    """(states, X-state C or None) of one mixed stack: every kind of state the concurrence meets."""
+    p = ModelParams(0.2, 0.4, 0.8, 1.0)
+    states = [thermal_state(ThermalPoint(p, t)) for t in (0.01, 1e308)]
+    states += list(_dephased_states(p, 0.1, [0.0, 0.5, 7.0], bell_initial_state()))
+    x_values = [x_state_concurrence(rho) for rho in states]
+    for _ in range(8):  # locally rotated rank-2 X states, whose C is that of the X state
+        rho = random_rank2_x_state(rng)
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rotated = u @ rho @ u.conj().T
+        states.append(0.5 * (rotated + rotated.conj().T))
+        x_values.append(x_state_concurrence(rho))
+    for i in range(16):  # random states of rank 1 to 4
+        w = rng.random(i % 4 + 1)
+        states.append(sum(wk * random_pure_state(rng) for wk in w / w.sum()))
+        x_values.append(None)
+    return states, x_values
+
+
+def test_stacked_concurrence_is_each_states_own_call():
+    # one batched SVD per stack, as correlation_columns makes it: each row
+    # is bit for bit the state's own call, sign of zero included, in either order
+    states, x_values = _concurrence_stack(np.random.default_rng(313))
+    lam, vecs = (np.array(a) for a in zip(*(validated_spectrum(rho)[1:] for rho in states)))
+    with np.errstate(all="raise"):
+        own = np.array([_concurrence(lam_k, vecs_k) for lam_k, vecs_k in zip(lam, vecs)])
+        report = np.array([_concurrence(lam_k, vecs_k, max, min) for lam_k, vecs_k in zip(lam, vecs)])
+        stacked = _concurrence(lam, vecs)
+        reversed_stack = _concurrence(lam[::-1], vecs[::-1])
+        grid = _concurrence(lam[:28].reshape(4, 7, 4), vecs[:28].reshape(4, 7, 4, 4))  # two leading axes
+    assert _bitwise_equal(stacked, own)
+    assert _bitwise_equal(report, own)  # the builtin clips of correlation_report
+    assert _bitwise_equal(reversed_stack, own[::-1])
+    assert _bitwise_equal(grid, own[:28].reshape(4, 7))
+    assert np.all((stacked >= 0.0) & (stacked <= 1.0))
+    for rho, lam_k, c, x_value in zip(states, lam, stacked, x_values):
+        if x_value is not None:
+            assert abs(c - x_value) <= 1e-12
+        elif lam_k[0] > 1e-12:  # full rank: the spin-flip route is accurate there
+            assert abs(c - spin_flip_concurrence(rho)) <= 1e-10
+        else:  # its noise floor near sqrt(machine epsilon) on rank-deficient states
+            assert abs(c - spin_flip_concurrence(rho)) <= 1e-7
+
+
 def test_mutual_information_trivial_states():
     mixed = np.eye(4, dtype=complex) / 4.0
     assert correlation_report(mixed).mutual_information == pytest.approx(0.0, abs=1e-12)

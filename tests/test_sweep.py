@@ -271,6 +271,26 @@ def test_emit_csv_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_emit_csv_row_template_gives_the_format_join_text(tmp_path):
+    # emit_csv formats each row with one "%.12g,..." template; its text must
+    # be that of ",".join(format(x, ".12g") ...) on preset tables and on the
+    # edge values, each value in every column
+    edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1e-300])
+    cases = []
+    for name in ("fig1", "fig2-upper"):
+        mode = PRESETS[name]["mode"]
+        cfg = parse_config(["thermal" if mode == "thermal" else "decohere", "--preset", name, "--out", "x.csv"])
+        table = run_sweep(cfg)
+        width = table.shape[1]
+        cases += [(mode, table), (mode, np.array([np.roll(edge, k)[:width] for k in range(len(edge))]))]
+    for mode, table in cases:
+        path = tmp_path / "t.csv"
+        emit_csv(table, str(path), mode)
+        header = qcorr.sweep.THERMAL_HEADER if mode == "thermal" else qcorr.sweep.DECOHERENCE_HEADER
+        lines = [header] + [",".join(format(x, ".12g") for x in row) for row in table.tolist()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_emit_csv_io_error(tmp_path):
     with pytest.raises(OutputError):
         emit_csv([], str(tmp_path / "missing" / "deep" / "x.csv"), "thermal")
